@@ -1,5 +1,6 @@
 """Catalog families: display goldens, constraints, crosschecks, the tower."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from twistlab.catalog import (
     twist_identities,
 )
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
-from twistlab.jsonio import family_to_json
+from twistlab.jsonio import dump_json, family_to_json
 from twistlab.twistforge import validate_family
 
 F = Fraction
@@ -43,6 +44,85 @@ DISPLAY_G = {
     ],
     "thm4_5": [6, 0, 0, 0, -198, 0, 0, 0, -198, 0, 0, 0, 6],
     "rem4_6": [6, -198, -198, 6],
+}
+
+OFF_DEFAULT_PARAMS = (
+    ("cor3_2", {"a": F(2), "b": F(3)}),
+    ("cor3_3", {"b": F(1), "c": F(2)}),
+    ("thm4_1", {"a": F(2)}),
+    ("thm4_3", {"a": F(3), "b": F(2)}),
+    ("thm4_2a", {"a": F(3)}),
+    ("thm4_2b", {"a": F(-1)}),
+    ("mestre3_4", {"a": F(2), "b": F(1)}),
+)
+
+# sha256 of the pretty-printed family JSON from (build, build_pipeline), for
+# every family at its defaults and at each OFF_DEFAULT_PARAMS entry
+CATALOG_SHA256 = {
+    "cor3_2": (
+        "1c10a907dcdd42e6bf61fe867b7358550ecd5bddc29023afb6718e50840bd9c8",
+        "5b75241aac3feb4759b2a66269a6015796a85e5e3bbc4c063c5fc93ac7212af4",
+    ),
+    "cor3_3": (
+        "146c7cb317bc96b3cc2389b59f7c2cbff517ca0152022f78e2d1fdab7400dc6c",
+        "9d75115a85a24f2de7f2a1fd21f44a0e2047ee268fe70a576dc01e0558dc3605",
+    ),
+    "mestre3_4": (
+        "6f02ca67bf3011b16ce8b71d769490914adf2a4944fcbc0e73f8510a858ac185",
+        "f619f14c0f377bc7af77d1c13d664dd794061d158488b1708779e96b061b37cd",
+    ),
+    "thm4_1": (
+        "b708f93df205972ec2af2041f9a42e96143a386f904b1467a9bff0bd6f08e266",
+        "97ca303ff2d71663ff7a4a24766c8c1095f60579c10d41cda65ef891cef32884",
+    ),
+    "thm4_2a": (
+        "ae82968c3bd411e9fb9037ab67c83a69ae0ae6c84c9f9147c84aeb9573c20ad7",
+        "ae82968c3bd411e9fb9037ab67c83a69ae0ae6c84c9f9147c84aeb9573c20ad7",
+    ),
+    "thm4_2b": (
+        "8d3f8c0a09b0d1807424b6dc296f416e9f20b3451b724f1632fee74ab5de0aea",
+        "8d3f8c0a09b0d1807424b6dc296f416e9f20b3451b724f1632fee74ab5de0aea",
+    ),
+    "thm4_3": (
+        "e8d8831aaaf9887bc4f2a0cd5de158795555d7699c7a5246177be512f1e05ac4",
+        "1efbd51d31e3ec0e9b3e149f7c491ae2f8a2b32b5787ec5c65a36e0fadb43f96",
+    ),
+    "thm4_5": (
+        "c9516deb4cca46c13431d87e2d5b65c08a82a93052b59db018a6b08f14c867f5",
+        "d865fdd2ce45cf538406811956e4b83eb0433f6582032b63ffc15f31eee6ae51",
+    ),
+    "rem4_6": (
+        "dced33d93505297df010b6b84b4d74c3affbe24b7b6e068b54a3cf508e094b47",
+        "eb94436f6e69e015421ec02adc7ab43b6a46e14c66ba01caa640e6a11ebef189",
+    ),
+    "cor3_2 a=2 b=3": (
+        "209b2b03f6dacf64a562f51d810801cc7bb0522cefc5b98fa7421c8bde43666e",
+        "039143a73a4f7357cbcf84e54943c4c051135c54f4ab64b4e67758a77a6c77b3",
+    ),
+    "cor3_3 b=1 c=2": (
+        "164ee978c5daa63c63b1b117fd6e033c95a9b916c5aeef911b99a3d121489602",
+        "22e9a99737cbe23d5771690c18c97a07576b70a58ac69458d85fc0ef8d78ffda",
+    ),
+    "thm4_1 a=2": (
+        "1b95fc50e62d9549f55b5d903e9ab3788616828bca00206088ed753c8b7c66f4",
+        "79e5d8c1f24fa026df43e7f24c6a47618757d0ac305df38e4a42c00bf12fe4f0",
+    ),
+    "thm4_3 a=3 b=2": (
+        "93522014819a5ac53c3efb73d13a2e9af660dff4572b53187d1366c8dbb88504",
+        "c2f1b92c651a6504bbed2fb5f8d429902c9187fb3bd3676480b741055dbb6e29",
+    ),
+    "thm4_2a a=3": (
+        "da7937963276991eaf8f45e895f15b00273bcef40b5dd9b42bb42e8a63877496",
+        "da7937963276991eaf8f45e895f15b00273bcef40b5dd9b42bb42e8a63877496",
+    ),
+    "thm4_2b a=-1": (
+        "650e150aa5e2aa41353561546dfc5d92564c1dc94718da830ace22aa0261da0b",
+        "650e150aa5e2aa41353561546dfc5d92564c1dc94718da830ace22aa0261da0b",
+    ),
+    "mestre3_4 a=2 b=1": (
+        "4e15d69a4e0ad8ae013442f1ccbccdc4268d28374fc835c770961afee6d78cd2",
+        "1b2410068fdbba39345d263ca944813e6cc2a482476c8c91135257ed068f214f",
+    ),
 }
 
 
@@ -94,17 +174,22 @@ def test_crosscheck_square_class_and_points(fid):
 
 
 def test_crosscheck_off_default_parameters():
-    for fid, params in (
-        ("cor3_2", {"a": F(2), "b": F(3)}),
-        ("cor3_3", {"b": F(1), "c": F(2)}),
-        ("thm4_1", {"a": F(2)}),
-        ("thm4_3", {"a": F(3), "b": F(2)}),
-        ("thm4_2a", {"a": F(3)}),
-        ("thm4_2b", {"a": F(-1)}),
-        ("mestre3_4", {"a": F(2), "b": F(1)}),
-    ):
+    for fid, params in OFF_DEFAULT_PARAMS:
         report = crosscheck(FamilySpec.make(fid, params))
         assert report.ok, (fid, params, report.messages)
+
+
+def test_catalog_output_digests():
+    cases = [(fid, {}) for fid in FAMILY_IDS] + list(OFF_DEFAULT_PARAMS)
+    assert len(cases) == len(CATALOG_SHA256)
+    for fid, params in cases:
+        key = " ".join([fid] + [f"{k}={v}" for k, v in params.items()])
+        spec = FamilySpec.make(fid, params)
+        digests = tuple(
+            hashlib.sha256(dump_json(family_to_json(route(spec))).encode()).hexdigest()
+            for route in (build, build_pipeline)
+        )
+        assert digests == CATALOG_SHA256[key], key
 
 
 def test_constraint_gates():
