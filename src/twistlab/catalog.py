@@ -1,18 +1,21 @@
-"""The named twist families: hard-coded display data cross-validated against
-the construction pipeline.
+"""The named twist families: one recipe each, with hard-coded display data
+cross-validated against the construction pipeline.
 
-Each family id selects a base curve shape, parameter constraints, the display
-polynomial g and any displayed points, and the pipeline recipe (permutations,
-isogenies, conic data) that re-derives the family from first principles.
+`RECIPES` holds one `Recipe` per family id: default parameters and their
+constraints, the twist identities and conic that re-derive the family from
+first principles, and the builder for the displayed g and points.
 `build` returns the display-backed family; `build_pipeline` re-runs the
-construction; `crosscheck` compares the two up to rational-function squares
-and 2-torsion translation.
+construction; `twist_identities` returns the identities it starts from;
+`crosscheck` compares the two routes up to rational-function squares and
+2-torsion translation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable
 
 from .curves import CubicCurve, CurvePoint, three_isogeny, two_isogeny_quotient
@@ -26,10 +29,12 @@ from .exactmath import (
     square_class,
 )
 from .twistforge import (
+    ConicParam,
     ConicPoint,
     ForgeError,
     Mobius,
     TwistFamily,
+    TwistIdentity,
     assemble_rank2,
     assemble_rank3,
     checked_family,
@@ -40,54 +45,6 @@ from .twistforge import (
     twist_from_isogeny,
     twist_from_permutation,
 )
-
-FAMILY_IDS = (
-    "cor3_2",
-    "cor3_3",
-    "mestre3_4",
-    "thm4_1",
-    "thm4_2a",
-    "thm4_2b",
-    "thm4_3",
-    "thm4_5",
-    "rem4_6",
-)
-
-DEFAULT_PARAMS: dict[str, dict[str, Fraction]] = {
-    "cor3_2": {"a": Fraction(1), "b": Fraction(2)},
-    "cor3_3": {"b": Fraction(3), "c": Fraction(1)},
-    "mestre3_4": {"a": Fraction(1), "b": Fraction(2)},
-    "thm4_1": {"a": Fraction(1)},
-    "thm4_2a": {"a": Fraction(2)},
-    "thm4_2b": {"a": Fraction(1)},
-    "thm4_3": {"a": Fraction(2), "b": Fraction(1)},
-    "thm4_5": {},
-    "rem4_6": {},
-}
-
-EXPECTED_DEGREE = {
-    "cor3_2": 6,
-    "cor3_3": 6,
-    "mestre3_4": 14,
-    "thm4_1": 12,
-    "thm4_2a": 12,
-    "thm4_2b": 12,
-    "thm4_3": 11,
-    "thm4_5": 12,
-    "rem4_6": 3,
-}
-
-CLAIMED_RANK = {
-    "cor3_2": 2,
-    "cor3_3": 2,
-    "mestre3_4": 2,
-    "thm4_1": 3,
-    "thm4_2a": 3,
-    "thm4_2b": 3,
-    "thm4_3": 3,
-    "thm4_5": 3,
-    "rem4_6": 1,
-}
 
 
 class ConstraintError(ValueError):
@@ -103,9 +60,9 @@ class FamilySpec:
 
     @staticmethod
     def make(family_id: str, params: dict | None = None) -> "FamilySpec":
-        if family_id not in FAMILY_IDS:
+        if family_id not in RECIPES:
             raise ConstraintError(f"unknown family id {family_id!r}")
-        merged = dict(DEFAULT_PARAMS[family_id])
+        merged = dict(RECIPES[family_id].defaults)
         for key, value in (params or {}).items():
             if key not in merged:
                 raise ConstraintError(f"family {family_id} takes no parameter {key!r}")
@@ -116,44 +73,16 @@ class FamilySpec:
 
 
 def _check_constraints(spec: FamilySpec):
-    p = spec.params
-    fid = spec.id
-    if fid == "cor3_2":
-        if p["a"] * p["b"] == 0:
-            raise ConstraintError("cor3_2 requires a*b != 0")
-        if p["a"] ** 2 == 4 * p["b"]:
-            raise ConstraintError("cor3_2 requires a^2 != 4b (nonsingular cubic)")
-    elif fid == "cor3_3":
-        if p["b"] * p["c"] == 0:
-            raise ConstraintError("cor3_3 requires b*c != 0")
-        if p["b"] ** 3 == 54 * p["c"] ** 2:
-            raise ConstraintError("cor3_3 requires b^3 != 54c^2 (nonsingular cubic)")
-    elif fid == "mestre3_4":
-        if p["a"] * p["b"] == 0:
-            raise ConstraintError("mestre3_4 requires a*b != 0")
-        if 4 * p["a"] ** 3 + 27 * p["b"] ** 2 == 0:
-            raise ConstraintError("mestre3_4 requires 4a^3 + 27b^2 != 0 (nonsingular cubic)")
-    elif fid == "thm4_1":
-        if p["a"] == 0:
-            raise ConstraintError("thm4_1 requires a != 0 (lambda = -2a^2 nonzero)")
-    elif fid == "thm4_2a":
-        if p["a"] in (0, 1, -1):
-            raise ConstraintError("thm4_2a requires a not in {0, 1, -1}")
-    elif fid == "thm4_2b":
-        if p["a"] in (0, 2):
-            raise ConstraintError("thm4_2b requires a not in {0, 2}")
-        if p["a"] == Fraction(-1, 2):
-            raise ConstraintError("thm4_2b requires a != -1/2 (lambda = 1 gives a singular cubic)")
-    elif fid == "thm4_3":
-        if p["a"] * p["b"] == 0:
-            raise ConstraintError("thm4_3 requires a*b != 0")
-        if p["a"] in (1, -1):
-            raise ConstraintError("thm4_3 requires a != +-1 (nonsingular cubic)")
+    for violated, requirement in RECIPES[spec.id].constraints:
+        if violated(spec.params):
+            raise ConstraintError(f"{spec.id} requires {requirement}")
 
 
 # ---------------------------------------------------------------------------
 # Base cubics and shared construction data
 # ---------------------------------------------------------------------------
+
+_F_CONGRUENT = UniPoly([0, -1, 0, 1])  # x^3 - x
 
 
 def _f_two_torsion(a: Fraction, b: Fraction) -> UniPoly:
@@ -200,12 +129,13 @@ def _k_linear_1l(lam: Fraction) -> UniPoly:
 
 
 def _provenance(spec: FamilySpec, method: str, t_of_u: RatFunc | None, factor_polys, notes: str = "") -> dict:
+    recipe = RECIPES[spec.id]
     prov = {
         "family": spec.id,
         "params": {k: rat_to_str(v) for k, v in spec.params.items()},
         "method": method,
-        "claimed_rank": CLAIMED_RANK[spec.id],
-        "degree": EXPECTED_DEGREE[spec.id],
+        "claimed_rank": recipe.rank,
+        "degree": recipe.degree,
         "factor_polys": [[rat_to_str(c) for c in fp.coeffs] for fp in factor_polys],
     }
     if t_of_u is not None:
@@ -215,8 +145,125 @@ def _provenance(spec: FamilySpec, method: str, t_of_u: RatFunc | None, factor_po
     return prov
 
 
-def _display_point(x: RatFunc, y: RatFunc) -> CurvePoint:
-    return CurvePoint(x, y)
+# ---------------------------------------------------------------------------
+# Construction steps: identities f(h) = k*f*j^2 and the conics trivializing k
+# ---------------------------------------------------------------------------
+
+
+def _root_permutations(f: UniPoly, roots: tuple, *perms: tuple[int, int, int]) -> list[TwistIdentity]:
+    """One identity per Moebius map permuting the roots of f; each permutation
+    is in one-line notation, sending roots[i] to roots[perm[i]]."""
+    return [twist_from_permutation(f, mobius_from_triples(roots, [roots[i] for i in perm])) for perm in perms]
+
+
+def _lambda_identities(lam: Fraction, *perms) -> tuple[UniPoly, list[TwistIdentity]]:
+    f = _f_lambda(lam)
+    return f, _root_permutations(f, (0, 1, lam), *perms)
+
+
+def _identities_cor3_2(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
+    a, b = p["a"], p["b"]
+    f = _f_two_torsion(a, b)
+    return f, [twist_from_permutation(f, Mobius(-b, 0, a, b))]  # swaps the two nonzero roots, fixes 0
+
+
+def _identities_cor3_3(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
+    b, c = p["b"], p["c"]
+    f = _f_three_subgroup(b, c)
+    mu = Mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
+    return f, [twist_from_isogeny(f, three_isogeny(b, c), mu)]
+
+
+def _identities_thm4_3(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
+    a, b = p["a"], p["b"]
+    f = UniPoly([0, a * a * b * b, -(b + a * a * b), 1])  # x (x - b) (x - a^2 b)
+    q = a * a - 3 * a + 4
+    mu = Mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
+    tid_iso = twist_from_isogeny(f, two_isogeny_quotient(CubicCurve(f)), mu)
+    return f, [tid_iso] + _root_permutations(f, (0, b, a * a * b), (0, 2, 1))
+
+
+# Most conic inputs are the displayed k's, which differ from the identities'
+# k by square constants; using the identities' k instead would change t(u)
+# and so the golden files.
+
+
+def _conic_through(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicParam:
+    return conic_param_double(k1, k2, conic_point_for(k1, k2, t0))
+
+
+def _conic_thm4_1(p: dict, tids) -> ConicParam:
+    lam = -2 * p["a"] ** 2
+    r0 = p["a"] * (lam - 1)
+    return conic_param_double(_k_linear_01(lam), _k_linear_0l(lam), ConicPoint((lam + 1) / 2, r0, r0))
+
+
+def _conic_thm4_2a(p: dict, tids) -> ConicParam:
+    lam = _lambda_2a(p)
+    return _conic_through(_k_linear_0l(lam), _k_linear_cycle(lam), 2 * lam / (lam + 1))
+
+
+def _conic_thm4_2b(p: dict, tids) -> ConicParam:
+    lam = _lambda_2b(p)
+    return _conic_through(_k_linear_cycle(lam), _k_linear_1l(lam), 1 / lam)
+
+
+def _conic_thm4_3(p: dict, tids) -> ConicParam:
+    a, b = p["a"], p["b"]
+    k1p = UniPoly([-a * (a + 1) * b, a * a - 3 * a + 4]) * ((a - 1) * a * b)
+    k2p = UniPoly([-a * a * b, a * a + 1]) * b
+    return conic_param_double(k1p, k2p, ConicPoint(a * a * b, (a - 1) ** 2 * a * b, a * a * b))
+
+
+def _attach_quartic_factors(fam: TwistFamily, t_of_u: RatFunc) -> TwistFamily:
+    """Record the quartic split of g induced by the roots 0, 1, lambda of the
+    base cubic x(x - 1)(x - lambda), whose x coefficient is lambda."""
+    quartics = [(t_of_u - r).num for r in (Fraction(0), Fraction(1), fam.base.f.coeff(1))]
+    k, _ = square_class(RatFunc(reduce(mul, quartics, ONE)) / RatFunc(fam.g))
+    if k != ONE:
+        raise ForgeError("quartic factor split does not multiply to g up to squares")
+    prov = dict(fam.provenance)
+    prov["factor_polys"] = [[rat_to_str(c) for c in qn.coeffs] for qn in quartics]
+    prov["quartic_split"] = True
+    return checked_family(TwistFamily(fam.base, fam.g, fam.points, fam.claimed_rank, prov))
+
+
+# ---------------------------------------------------------------------------
+# Families built without twist identities
+# ---------------------------------------------------------------------------
+
+_MESTRE_NOTES = "points at x = h1(u^2), h2(u^2); u = sqrt(t)"
+
+
+def _mestre_factors(a: Fraction, b: Fraction) -> list[UniPoly]:
+    bracket = UniPoly([1, 0, 1, 0, 1]) ** 3 * (b * b) + UniPoly([0, 0, 0, 0, 1]) * UniPoly([1, 0, 1]) ** 2 * a ** 3
+    return [UniPoly([-a * b]), bracket, UniPoly([1, 0, 1])]
+
+
+def _pipeline_mestre3_4(spec: FamilySpec) -> TwistFamily:
+    a, b = spec.params["a"], spec.params["b"]
+    f = UniPoly([b, a, 0, 1])
+    # the two covering substitutions, already reduced: h1 = -b(t^2+t+1)/(a(t+1)),
+    # h2 = -b(t^3-1)/(a t (t^2-1)), evaluated at t = u^2
+    u2 = RatFunc(UniPoly([0, 0, 1]))
+    h1 = RatFunc(UniPoly([b, b, b]) * -1, UniPoly([a, a])).compose(u2)
+    h2 = RatFunc(UniPoly([-b, 0, 0, b]) * -1, UniPoly([0, -a, 0, a])).compose(u2)
+    g, _ = square_class(compose(f, h1))
+    pts = tuple(CurvePoint(x, ratfunc_sqrt(compose(f, x) / RatFunc(g)).sign_normalized()[0]) for x in (h1, h2))
+    prov = _provenance(spec, "double-cover", None, _mestre_factors(a, b), notes=_MESTRE_NOTES)
+    return checked_family(TwistFamily(CubicCurve(f), g, pts, 2, prov))
+
+
+# x-coordinate whose cubic image has the square class of 6(u^3 - 33u^2 - 33u + 1);
+# the twist by that g carries the resulting nonconstant point, pinning rank 1.
+REM4_6_X = RatFunc(UniPoly([25, -10, 1]), UniPoly([24, 24]))
+
+
+def _pipeline_rem4_6(spec: FamilySpec) -> TwistFamily:
+    g, j = square_class(compose(_F_CONGRUENT, REM4_6_X))
+    y, _ = j.sign_normalized()
+    prov = _provenance(spec, "single-cover", None, [])
+    return checked_family(TwistFamily(CubicCurve(_F_CONGRUENT), g, (CurvePoint(REM4_6_X, y),), 1, prov))
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +271,38 @@ def _display_point(x: RatFunc, y: RatFunc) -> CurvePoint:
 # ---------------------------------------------------------------------------
 
 
+def _displayed(spec: FamilySpec, f: UniPoly, factors, points, method="display", notes="") -> TwistFamily:
+    """The family on the displayed twist g, the product of `factors`."""
+    g = reduce(mul, factors, ONE)
+    prov = _provenance(spec, method, None, factors, notes)
+    return checked_family(TwistFamily(CubicCurve(f), g, tuple(points), RECIPES[spec.id].rank, prov))
+
+
+def _displayed_g(spec: FamilySpec, factors, method="display", notes="") -> TwistFamily:
+    """The displayed g with the pipeline's points rescaled onto its twist."""
+    pipe = _pipeline(spec)
+    rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(reduce(mul, factors, ONE)))
+    pts = [CurvePoint(p.x, (p.y * rho).sign_normalized()[0]) for p in pipe.points]
+    return _displayed(spec, pipe.base.f, factors, pts, method, notes)
+
+
 def _display_cor3_2(spec: FamilySpec) -> TwistFamily:
     a, b = spec.params["a"], spec.params["b"]
-    f = _f_two_torsion(a, b)
     quartic = UniPoly([b ** 4, 0, 2 * b * b - a * a * b, 0, 1])
-    g = UniPoly([b * b, 0, 1]) * quartic * (-a * b)
-    p1 = _display_point(
+    p1 = CurvePoint(
         RatFunc(UniPoly([-b * b, 0, -1]), UniPoly([a * b])),
         RatFunc(ONE, UniPoly([a * a * b * b])),
     )
-    p2 = _display_point(
+    p2 = CurvePoint(
         RatFunc(UniPoly([-b ** 3, 0, -b]), UniPoly([0, 0, a])),
         RatFunc(UniPoly([b]), UniPoly([0, 0, 0, a * a])),
     )
     factors = [UniPoly([-a * b]), UniPoly([b * b, 0, 1]), quartic]
-    fam = TwistFamily(CubicCurve(f), g, (p1, p2), 2, _provenance(spec, "display", None, factors))
-    return checked_family(fam)
+    return _displayed(spec, _f_two_torsion(a, b), factors, (p1, p2))
 
 
 def _display_cor3_3(spec: FamilySpec) -> TwistFamily:
     b, c = spec.params["b"], spec.params["c"]
-    f = _f_three_subgroup(b, c)
     sextic = UniPoly(
         [
             54 * c ** 6 - b ** 3 * c ** 4,
@@ -257,61 +315,23 @@ def _display_cor3_3(spec: FamilySpec) -> TwistFamily:
         ]
     )
     g = sextic * (-b * c)
-    p1 = _display_point(
+    p1 = CurvePoint(
         RatFunc(UniPoly([-3 * c * c, 0, -1]), UniPoly([2 * b * c])),
         RatFunc(ONE, UniPoly([4 * b * b * c * c])),
     )
     swing = UniPoly([0, 0, 1]) * (UniPoly([-c * c, 0, 1]) ** 2)  # u^2 (u^2 - c^2)^2
     x2 = RatFunc(g * c - swing * b ** 4, UniPoly([0, 0, 4 * b * b * c]) * UniPoly([3 * c * c, 0, 1]) ** 2)
     y2 = RatFunc(g * c + swing * (3 * b ** 4), UniPoly([0, 0, 0, 8 * b ** 3 * c]) * UniPoly([3 * c * c, 0, 1]) ** 3)
-    factors = [UniPoly([-b * c]), sextic]
-    fam = TwistFamily(
-        CubicCurve(f), g, (p1, _display_point(x2, y2)), 2, _provenance(spec, "display", None, factors)
-    )
-    return checked_family(fam)
+    return _displayed(spec, _f_three_subgroup(b, c), [UniPoly([-b * c]), sextic], (p1, CurvePoint(x2, y2)))
 
 
-def _mestre_data(spec: FamilySpec):
-    a, b = spec.params["a"], spec.params["b"]
-    f = UniPoly([b, a, 0, 1])
-    # the two covering substitutions, already reduced: h1 = -b(t^2+t+1)/(a(t+1)),
-    # h2 = -b(t^3-1)/(a t (t^2-1)), evaluated at t = u^2
-    u2 = RatFunc(UniPoly([0, 0, 1]))
-    h1 = RatFunc(UniPoly([b, b, b]) * -1, UniPoly([a, a])).compose(u2)
-    h2 = RatFunc(UniPoly([-b, 0, 0, b]) * -1, UniPoly([0, -a, 0, a])).compose(u2)
-    bracket = UniPoly([1, 0, 1, 0, 1]) ** 3 * (b * b) + UniPoly([0, 0, 0, 0, 1]) * UniPoly([1, 0, 1]) ** 2 * a ** 3
-    g_display = bracket * UniPoly([1, 0, 1]) * (-a * b)
-    factors = [UniPoly([-a * b]), bracket, UniPoly([1, 0, 1])]
-    return f, h1, h2, g_display, factors
+def _display_mestre3_4(spec: FamilySpec) -> TwistFamily:
+    return _displayed_g(spec, _mestre_factors(spec.params["a"], spec.params["b"]), notes=_MESTRE_NOTES)
 
 
-def _mestre_family(spec: FamilySpec, use_display_g: bool) -> TwistFamily:
-    f, h1, h2, g_display, factors = _mestre_data(spec)
-    if use_display_g:
-        g = g_display
-        method = "display"
-    else:
-        g, _ = square_class(compose(f, h1))
-        method = "double-cover"
-    pts = []
-    for x in (h1, h2):
-        y = ratfunc_sqrt(compose(f, x) / RatFunc(g))
-        y, _ = y.sign_normalized()
-        pts.append(CurvePoint(x, y))
-    fam = TwistFamily(
-        CubicCurve(f),
-        g,
-        tuple(pts),
-        2,
-        _provenance(spec, method, None, factors, notes="points at x = h1(u^2), h2(u^2); u = sqrt(t)"),
-    )
-    return checked_family(fam)
-
-
-def _thm4_1_display_data(spec: FamilySpec):
+def _display_thm4_1(spec: FamilySpec) -> TwistFamily:
     a = spec.params["a"]
     lam = -2 * a * a
-    f = _f_lambda(lam)
     d_poly = UniPoly([2 - lam, 0, lam * (2 * lam - 1)])
     n_poly = UniPoly(
         [
@@ -322,33 +342,25 @@ def _thm4_1_display_data(spec: FamilySpec):
             lam * lam * (lam + 1) * (2 * lam - 1) ** 2,
         ]
     )
-    factor2 = n_poly - d_poly * d_poly * 2
-    factor3 = n_poly - d_poly * d_poly * (2 * lam)
-    g = n_poly * factor2 * factor3 * 2
-    return f, lam, d_poly, n_poly, factor2, factor3, g
-
-
-def _display_thm4_1(spec: FamilySpec) -> TwistFamily:
-    a = spec.params["a"]
-    f, lam, d_poly, n_poly, f2, f3, g = _thm4_1_display_data(spec)
-    p1 = _display_point(RatFunc(n_poly, d_poly * d_poly * 2), RatFunc(ONE, d_poly ** 3 * 4))
+    p1 = CurvePoint(RatFunc(n_poly, d_poly * d_poly * 2), RatFunc(ONE, d_poly ** 3 * 4))
     inner = UniPoly([0, -1, 1]) * (4 * lam) * UniPoly([2 - lam, lam * (2 * lam - 1)])
     q2 = UniPoly([lam - 2, -2 * lam * (2 * lam - 1), lam * (2 * lam - 1)])
-    p2 = _display_point(
+    p2 = CurvePoint(
         RatFunc((d_poly * d_poly - inner) * (lam * lam), q2 * q2),
         RatFunc(UniPoly([a * lam]), q2 ** 3),
     )
     q3 = UniPoly([lam - 2, -(2 * lam - 4), lam * (2 * lam - 1)])
-    p3 = _display_point(
+    p3 = CurvePoint(
         RatFunc(d_poly * d_poly + inner, q3 * q3 * lam),
         RatFunc(UniPoly([-a]), q3 ** 3 * (lam * lam)),
     )
-    factors = [UniPoly([2]), n_poly, f2, f3]
-    fam = TwistFamily(CubicCurve(f), g, (p1, p2, p3), 3, _provenance(spec, "display", None, factors))
-    return checked_family(fam)
+    factors = [UniPoly([2]), n_poly, n_poly - d_poly * d_poly * 2, n_poly - d_poly * d_poly * (2 * lam)]
+    return _displayed(spec, _f_lambda(lam), factors, (p1, p2, p3))
 
 
-def _display_thm4_3_g(spec: FamilySpec) -> tuple[UniPoly, list[UniPoly]]:
+def _display_thm4_3(spec: FamilySpec) -> TwistFamily:
+    """Display g (the factored degree-11 polynomial) with pipeline-derived points
+    rescaled onto the display twist."""
     a, b = spec.params["a"], spec.params["b"]
     q = a * a - 3 * a + 4
     factors = [
@@ -367,279 +379,196 @@ def _display_thm4_3_g(spec: FamilySpec) -> tuple[UniPoly, list[UniPoly]]:
             ]
         ),
     ]
-    g = ONE
-    for fp in factors:
-        g = g * fp
-    return g, factors
+    return _displayed_g(spec, factors, method="display-g+derived-points")
 
 
 def _display_thm4_5(spec: FamilySpec) -> TwistFamily:
-    f = UniPoly([0, -1, 0, 1])
-    g = UniPoly([1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1]) * 6
-    p1 = _display_point(
+    p1 = CurvePoint(
         RatFunc(UniPoly([-1, 0, 6, 0, -1]), UniPoly([1, 0, 1]) ** 2 * 3),
         RatFunc(UniPoly([2]), UniPoly([1, 0, 1]) ** 3 * 9),
     )
-    p2 = _display_point(
+    p2 = CurvePoint(
         RatFunc(UniPoly([-1, 0, -6, 0, -1]), UniPoly([-1, 0, 1]) ** 2 * 3),
         RatFunc(UniPoly([2]), UniPoly([-1, 0, 1]) ** 3 * 9),
     )
-    p3 = _display_point(
+    p3 = CurvePoint(
         RatFunc(UniPoly([1, 0, 0, 0, 1]), UniPoly([0, 0, 6])),
         RatFunc(ONE, UniPoly([0, 0, 0, 36])),
     )
     factors = [UniPoly([6]), UniPoly([1, 0, 0, 0, 1]), UniPoly([1, 0, 6, 0, 1]), UniPoly([1, 0, -6, 0, 1])]
-    fam = TwistFamily(CubicCurve(f), g, (p1, p2, p3), 3, _provenance(spec, "display", None, factors))
-    return checked_family(fam)
-
-
-REM4_6_G = UniPoly([1, -33, -33, 1]) * 6
-# x-coordinate whose cubic image has the square class of REM4_6_G; the twist
-# by REM4_6_G carries the resulting nonconstant point, pinning rank 1.
-REM4_6_X = RatFunc(UniPoly([25, -10, 1]), UniPoly([24, 24]))
+    return _displayed(spec, _F_CONGRUENT, factors, (p1, p2, p3))
 
 
 def _display_rem4_6(spec: FamilySpec) -> TwistFamily:
-    f = UniPoly([0, -1, 0, 1])
-    y = ratfunc_sqrt(compose(f, REM4_6_X) / RatFunc(REM4_6_G))
-    y, _ = y.sign_normalized()
-    factors = [UniPoly([6]), UniPoly([1, 1]), UniPoly([1, -34, 1])]
-    fam = TwistFamily(
-        CubicCurve(f),
-        REM4_6_G,
-        (CurvePoint(REM4_6_X, y),),
-        1,
-        _provenance(
-            spec,
-            "display",
-            None,
-            factors,
-            notes="degree 3 pins rank exactly 1 by the genus bound; the twist by g(u^8) has rank 3, not 4",
+    return _displayed_g(
+        spec,
+        [UniPoly([6]), UniPoly([1, 1]), UniPoly([1, -34, 1])],
+        notes="degree 3 pins rank exactly 1 by the genus bound; the twist by g(u^8) has rank 3, not 4",
+    )
+
+
+# ---------------------------------------------------------------------------
+# The recipe table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """One family: its parameters, its construction, and its displayed data.
+
+    The construction is either the twist `identities` f(h) = k*f*j^2 for the
+    parameters, followed by the `conic` making each k(t(u)) a square, or, for
+    a family without identities, a `pipeline` of its own.  `display` builds
+    the family from the printed formulas; without it the construction is the
+    source.  Each constraint is (violated(params), what the family requires).
+    """
+
+    defaults: dict[str, Fraction]
+    degree: int
+    rank: int
+    constraints: tuple[tuple[Callable[[dict], bool], str], ...] = ()
+    identities: Callable[[dict], tuple[UniPoly, list[TwistIdentity]]] | None = None
+    conic: Callable[[dict, list[TwistIdentity]], ConicParam] | None = None
+    method: str = ""
+    pipeline: Callable[[FamilySpec], TwistFamily] | None = None
+    display: Callable[[FamilySpec], TwistFamily] | None = None
+    quartic_split: bool = False
+
+
+RECIPES: dict[str, Recipe] = {
+    "cor3_2": Recipe(
+        defaults={"a": Fraction(1), "b": Fraction(2)},
+        degree=6,
+        rank=2,
+        constraints=(
+            (lambda p: p["a"] * p["b"] == 0, "a*b != 0"),
+            (lambda p: p["a"] ** 2 == 4 * p["b"], "a^2 != 4b (nonsingular cubic)"),
         ),
-    )
-    return checked_family(fam)
-
-
-# ---------------------------------------------------------------------------
-# Pipeline-route builders (the constructive method)
-# ---------------------------------------------------------------------------
-
-
-def _pipeline_cor3_2(spec: FamilySpec) -> TwistFamily:
-    a, b = spec.params["a"], spec.params["b"]
-    f = _f_two_torsion(a, b)
-    swap = Mobius(-b, 0, a, b)  # exchanges the two nonzero roots, fixes 0
-    tid = twist_from_permutation(f, swap)
-    par = conic_param_single(UniPoly([-b * b, -a * b]))
-    fam = assemble_rank2(f, tid, par.t_of_u, _provenance(spec, "root-permutation", par.t_of_u, []))
-    return fam
-
-
-def _pipeline_cor3_3(spec: FamilySpec) -> TwistFamily:
-    b, c = spec.params["b"], spec.params["c"]
-    f = _f_three_subgroup(b, c)
-    iso = three_isogeny(b, c)
-    mu = Mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
-    tid = twist_from_isogeny(f, iso, mu)
-    par = conic_param_single(UniPoly([-3 * c * c, -2 * b * c]))
-    fam = assemble_rank2(f, tid, par.t_of_u, _provenance(spec, "isogeny", par.t_of_u, []))
-    return fam
-
-
-def _pipeline_mestre3_4(spec: FamilySpec) -> TwistFamily:
-    return _mestre_family(spec, use_display_g=False)
-
-
-def _pipeline_thm4_1(spec: FamilySpec) -> TwistFamily:
-    a = spec.params["a"]
-    lam = -2 * a * a
-    f = _f_lambda(lam)
-    tid_01 = twist_from_permutation(f, mobius_from_triples((0, 1, lam), (1, 0, lam)))
-    tid_0l = twist_from_permutation(f, mobius_from_triples((0, 1, lam), (lam, 1, 0)))
-    t0 = (lam + 1) / 2
-    r0 = a * (lam - 1)
-    par = conic_param_double(_k_linear_01(lam), _k_linear_0l(lam), ConicPoint(t0, r0, r0))
-    return assemble_rank3(f, tid_01, tid_0l, par.t_of_u, _provenance(spec, "two-permutations", par.t_of_u, []))
-
-
-def _pipeline_thm4_2(spec: FamilySpec) -> TwistFamily:
-    if spec.id == "thm4_2a":
-        lam = _lambda_2a(spec.params)
-    else:
-        lam = _lambda_2b(spec.params)
-    f = _f_lambda(lam)
-    tid_0l = twist_from_permutation(f, mobius_from_triples((0, 1, lam), (lam, 1, 0)))
-    tid_cyc = twist_from_permutation(f, mobius_from_triples((0, 1, lam), (lam, 0, 1)))
-    tid_1l = twist_from_permutation(f, mobius_from_triples((0, 1, lam), (0, lam, 1)))
-    if spec.id == "thm4_2a":
-        ka, kb = _k_linear_0l(lam), _k_linear_cycle(lam)
-        tid1, tid2 = tid_0l, tid_cyc
-        t0 = 2 * lam / (lam + 1)
-    else:
-        ka, kb = _k_linear_cycle(lam), _k_linear_1l(lam)
-        tid1, tid2 = tid_cyc, tid_1l
-        t0 = 1 / lam
-    pt = conic_point_for(ka, kb, t0)
-    par = conic_param_double(ka, kb, pt)
-    fam = assemble_rank3(f, tid1, tid2, par.t_of_u, _provenance(spec, "two-permutations", par.t_of_u, []))
-    return _attach_quartic_factors(fam, par.t_of_u, (Fraction(0), Fraction(1), lam))
-
-
-def _pipeline_thm4_3(spec: FamilySpec) -> TwistFamily:
-    a, b = spec.params["a"], spec.params["b"]
-    f = UniPoly([0, a * a * b * b, -(b + a * a * b), 1])  # x (x - b) (x - a^2 b)
-    iso = two_isogeny_quotient(CubicCurve(f))
-    q = a * a - 3 * a + 4
-    mu = Mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
-    tid_iso = twist_from_isogeny(f, iso, mu)
-    tid_perm = twist_from_permutation(f, mobius_from_triples((0, b, a * a * b), (0, a * a * b, b)))
-    k1p = UniPoly([-a * (a + 1) * b, q]) * ((a - 1) * a * b)
-    k2p = UniPoly([-a * a * b, a * a + 1]) * b
-    pt = ConicPoint(a * a * b, (a - 1) ** 2 * a * b, a * a * b)
-    par = conic_param_double(k1p, k2p, pt)
-    return assemble_rank3(
-        f, tid_iso, tid_perm, par.t_of_u, _provenance(spec, "isogeny+permutation", par.t_of_u, [])
-    )
-
-
-def _pipeline_thm4_5(spec: FamilySpec) -> TwistFamily:
-    f = UniPoly([0, -1, 0, 1])
-    tid1 = twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 0, 1)))
-    tid2 = twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 1, 0)))
-    pt = conic_point_for(tid1.k, tid2.k, Fraction(-1, 3))
-    par = conic_param_double(tid1.k, tid2.k, pt)
-    return assemble_rank3(f, tid1, tid2, par.t_of_u, _provenance(spec, "two-permutations", par.t_of_u, []))
-
-
-def _pipeline_rem4_6(spec: FamilySpec) -> TwistFamily:
-    f = UniPoly([0, -1, 0, 1])
-    g, j = square_class(compose(f, REM4_6_X))
-    y, _ = j.sign_normalized()
-    fam = TwistFamily(
-        CubicCurve(f),
-        g,
-        (CurvePoint(REM4_6_X, y),),
-        1,
-        _provenance(spec, "single-cover", None, []),
-    )
-    return checked_family(fam)
-
-
-def _attach_quartic_factors(fam: TwistFamily, t_of_u: RatFunc, roots) -> TwistFamily:
-    """Record the quartic split of g induced by the roots of the base cubic."""
-    quartics = [(t_of_u - r).num for r in roots]
-    product = ONE
-    for qn in quartics:
-        product = product * qn
-    k, _ = square_class(RatFunc(product) / RatFunc(fam.g))
-    if k != ONE:
-        raise ForgeError("quartic factor split does not multiply to g up to squares")
-    prov = dict(fam.provenance)
-    prov["factor_polys"] = [[rat_to_str(c) for c in qn.coeffs] for qn in quartics]
-    prov["quartic_split"] = True
-    fam2 = TwistFamily(fam.base, fam.g, fam.points, fam.claimed_rank, prov)
-    return checked_family(fam2)
-
-
-_DISPLAY_BUILDERS: dict[str, Callable[[FamilySpec], TwistFamily]] = {
-    "cor3_2": _display_cor3_2,
-    "cor3_3": _display_cor3_3,
-    "mestre3_4": lambda spec: _mestre_family(spec, use_display_g=True),
-    "thm4_1": _display_thm4_1,
-    "thm4_2a": _pipeline_thm4_2,  # no displayed data: the construction is the source
-    "thm4_2b": _pipeline_thm4_2,
-    "thm4_3": None,  # filled below (display g, derived points)
-    "thm4_5": _display_thm4_5,
-    "rem4_6": _display_rem4_6,
+        identities=_identities_cor3_2,
+        conic=lambda p, tids: conic_param_single(UniPoly([-p["b"] * p["b"], -p["a"] * p["b"]])),
+        method="root-permutation",
+        display=_display_cor3_2,
+    ),
+    "cor3_3": Recipe(
+        defaults={"b": Fraction(3), "c": Fraction(1)},
+        degree=6,
+        rank=2,
+        constraints=(
+            (lambda p: p["b"] * p["c"] == 0, "b*c != 0"),
+            (lambda p: p["b"] ** 3 == 54 * p["c"] ** 2, "b^3 != 54c^2 (nonsingular cubic)"),
+        ),
+        identities=_identities_cor3_3,
+        conic=lambda p, tids: conic_param_single(UniPoly([-3 * p["c"] * p["c"], -2 * p["b"] * p["c"]])),
+        method="isogeny",
+        display=_display_cor3_3,
+    ),
+    "mestre3_4": Recipe(
+        defaults={"a": Fraction(1), "b": Fraction(2)},
+        degree=14,
+        rank=2,
+        constraints=(
+            (lambda p: p["a"] * p["b"] == 0, "a*b != 0"),
+            (lambda p: 4 * p["a"] ** 3 + 27 * p["b"] ** 2 == 0, "4a^3 + 27b^2 != 0 (nonsingular cubic)"),
+        ),
+        pipeline=_pipeline_mestre3_4,
+        display=_display_mestre3_4,
+    ),
+    "thm4_1": Recipe(
+        defaults={"a": Fraction(1)},
+        degree=12,
+        rank=3,
+        constraints=((lambda p: p["a"] == 0, "a != 0 (lambda = -2a^2 nonzero)"),),
+        identities=lambda p: _lambda_identities(-2 * p["a"] ** 2, (1, 0, 2), (2, 1, 0)),
+        conic=_conic_thm4_1,
+        method="two-permutations",
+        display=_display_thm4_1,
+    ),
+    "thm4_2a": Recipe(
+        defaults={"a": Fraction(2)},
+        degree=12,
+        rank=3,
+        constraints=((lambda p: p["a"] in (0, 1, -1), "a not in {0, 1, -1}"),),
+        identities=lambda p: _lambda_identities(_lambda_2a(p), (2, 1, 0), (2, 0, 1)),
+        conic=_conic_thm4_2a,
+        method="two-permutations",
+        quartic_split=True,
+    ),
+    "thm4_2b": Recipe(
+        defaults={"a": Fraction(1)},
+        degree=12,
+        rank=3,
+        constraints=(
+            (lambda p: p["a"] in (0, 2), "a not in {0, 2}"),
+            (lambda p: p["a"] == Fraction(-1, 2), "a != -1/2 (lambda = 1 gives a singular cubic)"),
+        ),
+        identities=lambda p: _lambda_identities(_lambda_2b(p), (2, 0, 1), (0, 2, 1)),
+        conic=_conic_thm4_2b,
+        method="two-permutations",
+        quartic_split=True,
+    ),
+    "thm4_3": Recipe(
+        defaults={"a": Fraction(2), "b": Fraction(1)},
+        degree=11,
+        rank=3,
+        constraints=(
+            (lambda p: p["a"] * p["b"] == 0, "a*b != 0"),
+            (lambda p: p["a"] in (1, -1), "a != +-1 (nonsingular cubic)"),
+        ),
+        identities=_identities_thm4_3,
+        conic=_conic_thm4_3,
+        method="isogeny+permutation",
+        display=_display_thm4_3,
+    ),
+    "thm4_5": Recipe(
+        defaults={},
+        degree=12,
+        rank=3,
+        identities=lambda p: (_F_CONGRUENT, _root_permutations(_F_CONGRUENT, (0, 1, -1), (2, 0, 1), (2, 1, 0))),
+        conic=lambda p, tids: _conic_through(tids[0].k, tids[1].k, Fraction(-1, 3)),
+        method="two-permutations",
+        display=_display_thm4_5,
+    ),
+    "rem4_6": Recipe(defaults={}, degree=3, rank=1, pipeline=_pipeline_rem4_6, display=_display_rem4_6),
 }
 
-_PIPELINE_BUILDERS: dict[str, Callable[[FamilySpec], TwistFamily]] = {
-    "cor3_2": _pipeline_cor3_2,
-    "cor3_3": _pipeline_cor3_3,
-    "mestre3_4": _pipeline_mestre3_4,
-    "thm4_1": _pipeline_thm4_1,
-    "thm4_2a": _pipeline_thm4_2,
-    "thm4_2b": _pipeline_thm4_2,
-    "thm4_3": _pipeline_thm4_3,
-    "thm4_5": _pipeline_thm4_5,
-    "rem4_6": _pipeline_rem4_6,
-}
+FAMILY_IDS = tuple(RECIPES)
+DEFAULT_PARAMS = {fid: recipe.defaults for fid, recipe in RECIPES.items()}
+EXPECTED_DEGREE = {fid: recipe.degree for fid, recipe in RECIPES.items()}
+CLAIMED_RANK = {fid: recipe.rank for fid, recipe in RECIPES.items()}
 
 
-def _display_thm4_3(spec: FamilySpec) -> TwistFamily:
-    """Display g (the factored degree-11 polynomial) with pipeline-derived points
-    rescaled onto the display twist."""
-    g_display, factors = _display_thm4_3_g(spec)
-    pipe = _pipeline_thm4_3(spec)
-    rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(g_display))
-    pts = []
-    for p in pipe.points:
-        y, _ = (p.y * rho).sign_normalized()
-        pts.append(CurvePoint(p.x, y))
-    prov = _provenance(spec, "display-g+derived-points", None, factors)
-    fam = TwistFamily(pipe.base, g_display, tuple(pts), 3, prov)
-    return checked_family(fam)
-
-
-_DISPLAY_BUILDERS["thm4_3"] = _display_thm4_3
+def _pipeline(spec: FamilySpec) -> TwistFamily:
+    recipe = RECIPES[spec.id]
+    if recipe.pipeline is not None:
+        return recipe.pipeline(spec)
+    f, tids = recipe.identities(spec.params)
+    t_of_u = recipe.conic(spec.params, tids).t_of_u
+    assemble = assemble_rank2 if len(tids) == 1 else assemble_rank3
+    fam = assemble(f, *tids, t_of_u, _provenance(spec, recipe.method, t_of_u, []))
+    return _attach_quartic_factors(fam, t_of_u) if recipe.quartic_split else fam
 
 
 def build(spec: FamilySpec) -> TwistFamily:
     """The catalog family: displayed g and points where available."""
     _check_constraints(spec)
-    return _DISPLAY_BUILDERS[spec.id](spec)
+    return (RECIPES[spec.id].display or _pipeline)(spec)
 
 
-def twist_identities(spec: FamilySpec) -> list:
+def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
     """The certified f(h) = k*f*j^2 identities underlying a family's construction.
 
     Families built without such identities (the double-cover route and the
     degree-3 tower base) return an empty list.
     """
     _check_constraints(spec)
-    p = spec.params
-    fid = spec.id
-    if fid == "cor3_2":
-        a, b = p["a"], p["b"]
-        return [twist_from_permutation(_f_two_torsion(a, b), Mobius(-b, 0, a, b))]
-    if fid == "cor3_3":
-        b, c = p["b"], p["c"]
-        mu = Mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
-        return [twist_from_isogeny(_f_three_subgroup(b, c), three_isogeny(b, c), mu)]
-    if fid == "thm4_1":
-        lam = -2 * p["a"] ** 2
-        f = _f_lambda(lam)
-        return [
-            twist_from_permutation(f, mobius_from_triples((0, 1, lam), (1, 0, lam))),
-            twist_from_permutation(f, mobius_from_triples((0, 1, lam), (lam, 1, 0))),
-        ]
-    if fid in ("thm4_2a", "thm4_2b"):
-        lam = _lambda_2a(p) if fid == "thm4_2a" else _lambda_2b(p)
-        f = _f_lambda(lam)
-        perms = ((lam, 1, 0), (lam, 0, 1)) if fid == "thm4_2a" else ((lam, 0, 1), (0, lam, 1))
-        return [twist_from_permutation(f, mobius_from_triples((0, 1, lam), dst)) for dst in perms]
-    if fid == "thm4_3":
-        a, b = p["a"], p["b"]
-        f = UniPoly([0, a * a * b * b, -(b + a * a * b), 1])
-        q = a * a - 3 * a + 4
-        mu = Mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
-        return [
-            twist_from_isogeny(f, two_isogeny_quotient(CubicCurve(f)), mu),
-            twist_from_permutation(f, mobius_from_triples((0, b, a * a * b), (0, a * a * b, b))),
-        ]
-    if fid == "thm4_5":
-        f = UniPoly([0, -1, 0, 1])
-        return [
-            twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 0, 1))),
-            twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 1, 0))),
-        ]
-    return []
+    identities = RECIPES[spec.id].identities
+    return identities(spec.params)[1] if identities else []
 
 
 def build_pipeline(spec: FamilySpec) -> TwistFamily:
     """The same family re-derived through the construction pipeline."""
     _check_constraints(spec)
-    return _PIPELINE_BUILDERS[spec.id](spec)
+    return _pipeline(spec)
 
 
 GOLDEN_VERSION = "v1"
@@ -666,8 +595,7 @@ def rem4_6_tower() -> tuple[TwistFamily, TwistFamily, TwistFamily]:
     carrying 1, 2, and 3 independent points respectively."""
     spec = FamilySpec.make("rem4_6")
     fam1 = build(spec)
-    f = fam1.base.f
-    g2 = REM4_6_G.substitute_power(2)
+    g2 = fam1.g.substitute_power(2)
     p1 = CurvePoint(
         RatFunc(UniPoly([-1, 6, -1]), UniPoly([1, 1]) ** 2 * 3),
         RatFunc(UniPoly([2]), UniPoly([1, 1]) ** 3 * 9),

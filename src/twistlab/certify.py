@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import combinations, count, product
 
 from .curves import CubicCurve, CurvePoint, TwistedCurve
 from .exactmath import (
@@ -203,10 +203,7 @@ def _mod_frac(q: Fraction, p: int) -> int:
 
 
 def _reduce_point(pt: CurvePoint, p: int):
-    try:
-        return (_mod_frac(Fraction(pt.x), p), _mod_frac(Fraction(pt.y), p))
-    except BadPrimeError:
-        raise
+    return (_mod_frac(Fraction(pt.x), p), _mod_frac(Fraction(pt.y), p))
 
 
 def good_primes(spec: SpecializedTwist, how_many: int, floor: int = PRIME_FLOOR, seed: int = 0) -> list[int]:
@@ -423,9 +420,11 @@ def certify_family(
             checks.append(CheckResult("independence", "pass", independence_witness))
     if r >= 2 and certified < r:
         sieve_witnesses = []
+        first = None
         for u0 in _candidate_u0s(fam, samples):
             spec = specialize(fam, u0)
             primes = good_primes(spec, prime_budget, seed=seed)
+            first = first or (u0, spec, primes)
             verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes, relation_bound)
             entry = {"u0": rat_to_str(u0), "d": spec.d, **verdict.to_json()}
             sieve_witnesses.append(entry)
@@ -433,19 +432,17 @@ def certify_family(
                 certified = r
                 break
         if certified < r:
-            # fall back to pair subsets before settling for a single point
-            best = certified
-            for u0 in _candidate_u0s(fam, 1):
-                spec = specialize(fam, u0)
-                primes = good_primes(spec, prime_budget, seed=seed)
-                for i in range(r):
-                    for j in range(i + 1, r):
-                        verdict = mod_p_relation_sieve(
-                            (spec.points[i], spec.points[j]), spec.d, fam.base.f, primes, relation_bound
-                        )
-                        if verdict.independent:
-                            best = max(best, 2)
-            certified = best
+            # fall back to pair subsets at the first u0 before settling for a
+            # single point; every pair tried is recorded so the bound replays
+            u0, spec, primes = first
+            for i, j in combinations(range(r), 2):
+                verdict = mod_p_relation_sieve(
+                    (spec.points[i], spec.points[j]), spec.d, fam.base.f, primes, relation_bound
+                )
+                sieve_witnesses.append({"u0": rat_to_str(u0), "d": spec.d, "pair": [i, j], **verdict.to_json()})
+                if verdict.independent:
+                    certified = 2
+                    break
         independence_witness = {
             "strategy": "specialization + mod-p relation sieve",
             "relation_bound": relation_bound,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog, certify as certify_mod, densitylab, jsonio
 from .catalog import FamilySpec, ConstraintError
@@ -29,8 +28,15 @@ def _parse_params(text: str | None) -> dict:
             if "=" not in piece:
                 raise ValueError(f"bad parameter assignment {piece!r} (want name=value)")
             name, value = piece.split("=", 1)
-            out[name.strip()] = Fraction(value.strip())
+            out[name.strip()] = rat_from_str(value.strip())
     return out
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -218,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="produce a rank certificate for a family JSON file")
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--samples", type=int, default=certify_mod.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=certify_mod.DEFAULT_SAMPLES)
     p.add_argument("--primes", type=int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_RELATION_BOUND)
+    p.add_argument("--bound", type=_positive_int, default=certify_mod.DEFAULT_RELATION_BOUND)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_certify)
@@ -233,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="count distinct squarefree twists over a coprime grid")
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument("--grid", type=_positive_int, required=True)
     p.add_argument("--modulus", type=int, default=1)
     p.add_argument("--x-max", type=int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--primes", type=int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_RELATION_BOUND)
+    p.add_argument("--bound", type=_positive_int, default=certify_mod.DEFAULT_RELATION_BOUND)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads",

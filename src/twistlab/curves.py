@@ -92,11 +92,6 @@ class CurvePoint:
     def has_nonconstant_x(self) -> bool:
         return not self.is_infinity and not _is_constant_elem(self.x)
 
-    def map_coords(self, fn) -> "CurvePoint":
-        if self.is_infinity:
-            return self
-        return CurvePoint(fn(self.x), fn(self.y))
-
     def __repr__(self):
         if self.is_infinity:
             return "CurvePoint(infinity)"
@@ -142,10 +137,6 @@ class TwistedCurve:
         lhs = self.d * pt.y * pt.y
         rhs = evaluate_cubic(self.base.f, pt.x)
         return lhs == rhs
-
-    def _require(self, pt: CurvePoint):
-        if not self.contains(pt):
-            raise CurveError("point is not on the curve")
 
     # -- group law -----------------------------------------------------------
 

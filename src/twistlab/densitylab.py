@@ -145,10 +145,6 @@ def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
     return HomogForm(g, k, coeffs, factor_coeffs, sigma_num, sigma_den, sigma_degs)
 
 
-def eval_form(form: HomogForm, a: int, b: int) -> int:
-    return form.evaluate(a, b)
-
-
 @dataclass(frozen=True)
 class DensityReport:
     family: str

@@ -11,9 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
-from typing import Iterable, Sequence, Union
-
-Rat = Fraction
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -31,7 +29,11 @@ def rat_to_str(q: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse a rational such as "3/4"; a zero denominator raises ValueError like any bad literal."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _as_rat(x) -> Fraction:
@@ -67,23 +69,6 @@ class UniPoly:
 
     def __reduce__(self):
         return (UniPoly, (self.coeffs,))
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(c: Scalar) -> "UniPoly":
-        return UniPoly([c])
-
-    @staticmethod
-    def monomial(degree: int, c: Scalar = 1) -> "UniPoly":
-        return UniPoly([0] * degree + [c])
-
-    @staticmethod
-    def from_roots(roots: Sequence[Scalar]) -> "UniPoly":
-        p = ONE
-        for r in roots:
-            p = p * UniPoly([-_as_rat(r), 1])
-        return p
 
     # -- structure ----------------------------------------------------------
 
@@ -332,21 +317,6 @@ ONE = UniPoly([1])
 T = UniPoly([0, 1])
 
 
-def poly_arith(p: UniPoly, q: UniPoly, op: str):
-    """Dispatch basic polynomial arithmetic by name; divmod returns a pair."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "divmod":
-        return divmod(p, q)
-    if op == "gcd":
-        return p.gcd(q)
-    raise ValueError(f"unknown polynomial op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -380,28 +350,11 @@ class RatFunc:
     def __reduce__(self):
         return (RatFunc, (self.num, self.den))
 
-    @staticmethod
-    def constant(c: Scalar) -> "RatFunc":
-        return RatFunc(UniPoly([c]))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ExactMathError("rational function is not constant")
-        return self.num.coeff(0)
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def as_poly(self) -> UniPoly:
-        if not self.is_polynomial():
-            raise ExactMathError("rational function is not a polynomial")
-        return self.num
 
     # -- field operations ----------------------------------------------------
 
@@ -483,16 +436,6 @@ class RatFunc:
         p, q = inner.num, inner.den
         return RatFunc(self.num.eval_homog(p, q, d), self.den.eval_homog(p, q, d))
 
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def degree(self) -> int:
-        """Degree as a map P^1 -> P^1 (max of numerator/denominator degrees)."""
-        return max(self.num.degree, self.den.degree)
-
     def sign_normalized(self) -> tuple["RatFunc", int]:
         """Return (|self| with positive leading numerator coefficient, sign)."""
         if self.is_zero():
@@ -508,11 +451,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc('{self.to_str()}')"
-
-
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)
-RF_T = RatFunc(T)
 
 
 def compose(f: UniPoly, h) -> RatFunc:

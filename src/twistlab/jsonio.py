@@ -55,16 +55,32 @@ def family_to_json(fam: TwistFamily) -> dict:
     }
 
 
+def _field(d: dict, key: str, decode):
+    """decode(d[key]), raising ValueError that names the field when it is missing or malformed."""
+    if key not in d:
+        raise ValueError(f"family JSON lacks field {key!r}")
+    try:
+        return decode(d[key])
+    except KeyError as exc:
+        raise ValueError(f"family JSON field {key!r} lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"family JSON field {key!r} is malformed: {exc}") from None
+
+
 def family_from_json(d) -> TwistFamily:
-    """Decode a family without validating it (certification re-checks everything)."""
-    cur = d["curve"]
-    f = UniPoly([rat_from_str(cur["e0"]), rat_from_str(cur["e1"]), rat_from_str(cur["e2"]), 1])
+    """Decode a family without validating it (certification re-checks everything).
+
+    Input that does not follow the schema raises ValueError naming the field.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"family JSON must be an object, not {type(d).__name__}")
+    e0, e1, e2 = _field(d, "curve", lambda cur: [rat_from_str(cur[k]) for k in ("e0", "e1", "e2")])
     return TwistFamily(
-        base=CubicCurve(f),
-        g=poly_from_json(d["g"]),
-        points=tuple(point_from_json(p) for p in d["points"]),
-        claimed_rank=int(d["claimed_rank"]),
-        provenance=dict(d.get("provenance", {})),
+        base=CubicCurve(UniPoly([e0, e1, e2, 1])),
+        g=_field(d, "g", poly_from_json),
+        points=_field(d, "points", lambda pts: tuple(point_from_json(p) for p in pts)),
+        claimed_rank=_field(d, "claimed_rank", int),
+        provenance=_field(d, "provenance", dict) if "provenance" in d else {},
     )
 
 

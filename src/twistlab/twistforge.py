@@ -78,11 +78,6 @@ class Mobius:
             return None
         return num / den
 
-    def apply_infinity(self) -> Fraction | None:
-        if self.c == 0:
-            return None
-        return self.a / self.c
-
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other: (self . other)(t) = self(other(t))."""
         return Mobius(
@@ -94,12 +89,6 @@ class Mobius:
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def normalized_pole_form(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(alpha, beta, delta) with self = (alpha*t + beta)/(t + delta); needs c != 0."""
-        if self.c == 0:
-            raise ForgeError("linear polynomial Moebius map has no pole form")
-        return self.a / self.c, self.b / self.c, self.d / self.c
 
 
 def _three_point_map(x1: Fraction, x2: Fraction, x3: Fraction) -> Mobius:

@@ -209,3 +209,20 @@ def test_certificate_json_shape():
     data = cert.to_json()
     assert data["certified_lower"] == 2 and data["genus_upper"] == 2
     assert {c["name"] for c in data["checks"]} >= {"on-curve[1]", "independence", "genus-bound"}
+
+
+def test_pair_fallback_leaves_a_replayable_record():
+    fam = build(FamilySpec.make("thm4_5"))
+    cert = certify_family(fam, samples=1, prime_budget=3)
+    assert cert.certified_lower == 2
+    check = next(c for c in cert.checks if c.name == "independence")
+    assert check.status == "inconclusive"
+    full, *pairs = check.witness["specializations"]
+    assert full["verdict"] == "possible-relation" and "pair" not in full
+    assert pairs and pairs[-1]["verdict"] == "independent-up-to-bound"
+    for entry in pairs:
+        spec = specialize(fam, F(entry["u0"]))
+        assert spec.d == entry["d"] == full["d"]
+        i, j = entry["pair"]
+        verdict = mod_p_relation_sieve((spec.points[i], spec.points[j]), spec.d, fam.base.f, entry["primes"])
+        assert verdict.to_json() == {k: entry[k] for k in verdict.to_json()}

@@ -124,6 +124,30 @@ def test_usage_errors(capsys, tmp_path):
     _capture(capsys)
     assert run(["certify", "--family", str(tmp_path / "missing.json")]) == 2
     _capture(capsys)
+    assert run(["catalog-build", "--id", "thm4_1", "--params", "a=1/0"]) == 2
+    _capture(capsys)
+    path = tmp_path / "fam.json"
+    run(["catalog-build", "--id", "thm4_5", "--out", str(path)])
+    _capture(capsys)
+    assert run(["specialize", "--family", str(path), "--u0", "1/0"]) == 2
+    _, err = _capture(capsys)
+    assert "zero denominator" in err
+    payload = load_json(path)
+    del payload["curve"]["e0"]
+    for bad, field in ((payload, "'curve'"), ([payload], "object")):
+        dump_json(bad, path=tmp_path / "bad.json")
+        assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2
+        _, err = _capture(capsys)
+        assert field in err
+    for argv in (
+        ["density", "--family", str(path), "--grid", "0"],
+        ["certify", "--family", str(path), "--samples", "0"],
+        ["certify", "--family", str(path), "--bound", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        _capture(capsys)
 
 
 def test_inputs_never_mutated(capsys, tmp_path):

@@ -12,7 +12,6 @@ from twistlab.densitylab import (
     DensityReport,
     certified_density,
     enumerate_S,
-    eval_form,
     fit_exponent,
     homog_form,
     with_fit,
@@ -28,17 +27,17 @@ def _form(fid):
 def test_eval_form_reproduces_g():
     fam, form = _form("thm4_5")
     assert form.k == 6
-    assert eval_form(form, 2, 1) == -29274
-    assert eval_form(form, 0, 1) == 6  # the constant coefficient
+    assert form.evaluate(2, 1) == -29274
+    assert form.evaluate(0, 1) == 6  # the constant coefficient
     # F(a, 1) = g(a)
     for a in range(1, 6):
-        assert eval_form(form, a, 1) == UniPoly(fam.g.coeffs)(Fraction(a))
+        assert form.evaluate(a, 1) == UniPoly(fam.g.coeffs)(Fraction(a))
 
 
 def test_form_homogeneity():
     _, form = _form("thm4_5")
     for a, b in ((1, 2), (3, 5), (2, 7)):
-        assert eval_form(form, 2 * a, 2 * b) == 2 ** (2 * form.k) * eval_form(form, a, b)
+        assert form.evaluate(2 * a, 2 * b) == 2 ** (2 * form.k) * form.evaluate(a, b)
 
 
 def test_form_clears_denominators():
@@ -65,8 +64,8 @@ def test_factored_path_matches_direct_factorization():
 def test_single_cell_grid():
     _, form = _form("thm4_5")
     rep = enumerate_S(form, grid=1, modulus=1, x_max=10 ** 9)
-    assert set(rep.witnesses) == {squarefree_part_int(eval_form(form, 1, 1))}
-    assert rep.witnesses[squarefree_part_int(eval_form(form, 1, 1))] == (1, 1)
+    assert set(rep.witnesses) == {squarefree_part_int(form.evaluate(1, 1))}
+    assert rep.witnesses[squarefree_part_int(form.evaluate(1, 1))] == (1, 1)
 
 
 def test_counts_nondecreasing_and_bounded():
@@ -81,7 +80,7 @@ def test_counts_nondecreasing_and_bounded():
 def test_dedup_keeps_smallest_witness():
     _, form = _form("thm4_5")
     # the palindromic g gives F(1,2) = F(2,1); the (a+b, a)-smallest pair wins
-    assert eval_form(form, 1, 2) == eval_form(form, 2, 1) == -29274
+    assert form.evaluate(1, 2) == form.evaluate(2, 1) == -29274
     rep = enumerate_S(form, grid=2, modulus=1, x_max=None)
     assert rep.witnesses[-29274] == (1, 2)
 

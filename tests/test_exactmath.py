@@ -20,7 +20,6 @@ from twistlab.exactmath import (
     factorize,
     is_probable_prime,
     is_squarefree_int,
-    poly_arith,
     rat_from_str,
     rat_to_str,
     ratfunc_sqrt,
@@ -50,17 +49,6 @@ def test_exact_division():
     q, r = divmod(upoly(0, -1, 0, 1), T)
     assert q == upoly(-1, 0, 1)
     assert r.is_zero()
-
-
-def test_poly_arith_dispatch():
-    p, q = upoly(1, 1), upoly(-1, 1)
-    assert poly_arith(p, q, "add") == upoly(0, 2)
-    assert poly_arith(p, q, "sub") == upoly(2)
-    assert poly_arith(p, q, "mul") == upoly(-1, 0, 1)
-    assert poly_arith(p, q, "divmod") == (ONE, upoly(2))
-    assert poly_arith(p * q, q, "gcd") == q.monic()
-    with pytest.raises(ValueError):
-        poly_arith(p, q, "pow")
 
 
 def test_division_by_zero_poly():
@@ -311,6 +299,9 @@ def test_ratfunc_sqrt():
 def test_rat_string_round_trip():
     for s in ("3/4", "-29274", "0", "22/7"):
         assert rat_to_str(rat_from_str(s)) == s
+    for bad in ("1/0", "zebra"):
+        with pytest.raises(ValueError):
+            rat_from_str(bad)
 
 
 def test_rational_sqrt():
