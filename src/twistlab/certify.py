@@ -4,20 +4,22 @@ A certificate records, with replayable witnesses: symbolic on-curve checks,
 nonconstancy (hence infinite order) of every point, an independence proof,
 and the genus upper bound.  Independence is established either by the
 u -> -u eigenvalue split (for a fixed/negated pair) or by specializing u to
-rational numbers and running a mod-p relation sieve: a dependence over Q(u)
-would survive every specialization and every good prime, so one fully sieved
-specialization certifies the family.
+a rational u0 and reducing mod good primes (Siksek, Rocky Mountain J. Math.
+25, 1995): for a prime ell, rows of discrete logarithms mod ell that have
+F_ell-rank k, together with one prime showing E(Q)[ell] = 0, prove that the
+specialized points span rank >= k.  Specialization is a homomorphism
+(Silverman, Advanced Topics, III.11), so the same bound holds over Q(u).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import count
 
 from .curves import CubicCurve, CurvePoint, TwistedCurve
 from .exactmath import (
+    _SMALL_PRIMES,
     ExactMathError,
     RatFunc,
     UniPoly,
@@ -29,14 +31,11 @@ from .exactmath import (
 )
 from .twistforge import TwistFamily, validate_family
 
-# Reduced torsion orders divide 12, so a mod-p relation test only needs the
-# 12-multiple of the candidate combination to vanish.
-TORSION_EXPONENT_BOUND = 12
+# the primes ell whose F_ell-ranks are tried, in order
+ELLS = (3, 5, 7)
 
 DEFAULT_SAMPLES = 3
-DEFAULT_PRIME_BUDGET = 25
-DEFAULT_RELATION_BOUND = 10
-PRIME_FLOOR = 50
+DEFAULT_PRIME_BUDGET = 60
 
 
 class CertifyError(ValueError):
@@ -120,12 +119,10 @@ def specialize(fam: TwistFamily, u0) -> SpecializedTwist:
         except ExactMathError as exc:
             raise CertifyError("specialize", f"u0 = {rat_to_str(u0)} hits a pole of point {i}: {exc}")
         pts.append(CurvePoint(x, y * w))
-    spec = SpecializedTwist(u0, d, fam.base, tuple(pts))
-    curve = spec.curve()
-    for i, p in enumerate(spec.points, start=1):
-        if not curve.contains(p):
+    for i, p in enumerate(pts, start=1):
+        if not _on_twist(d, fam.base.f, p):
             raise CertifyError("specialize", f"specialized point {i} left the curve (internal error)")
-    return spec
+    return SpecializedTwist(u0, d, fam.base, tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +153,6 @@ class _ModCurve:
         return (3 * x * x + 2 * self.e2 * x + self.e1) % self.p
 
     def on_curve(self, pt) -> bool:
-        if pt is None:
-            return True
         x, y = pt
         return (self.d * y * y - self.f_at(x)) % self.p == 0
 
@@ -180,8 +175,6 @@ class _ModCurve:
         return (x3, y3)
 
     def mul(self, n: int, pt):
-        if n < 0:
-            n, pt = -n, self.neg(pt)
         acc = None
         while n:
             if n & 1:
@@ -190,11 +183,6 @@ class _ModCurve:
             n >>= 1
         return acc
 
-    def neg(self, pt):
-        if pt is None:
-            return None
-        return (pt[0], (-pt[1]) % self.p)
-
 
 def _mod_frac(q: Fraction, p: int) -> int:
     if q.denominator % p == 0:
@@ -202,16 +190,15 @@ def _mod_frac(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
-def _reduce_point(pt: CurvePoint, p: int):
-    return (_mod_frac(Fraction(pt.x), p), _mod_frac(Fraction(pt.y), p))
+def _on_twist(d: int, f: UniPoly, pt: CurvePoint) -> bool:
+    """Exact test of d*y^2 == f(x) at a rational point, with no check on d."""
+    return d * pt.y * pt.y == f(pt.x)
 
 
-def good_primes(spec: SpecializedTwist, how_many: int, floor: int = PRIME_FLOOR, seed: int = 0) -> list[int]:
-    """Deterministic good-reduction primes above `floor` for the sieve.
-
-    A seeded PRNG samples from a pool four times the budget, so certificates
-    are reproducible for a fixed seed.
-    """
+def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
+    """The first `how_many` primes above max(ELLS) of good reduction for the
+    specialized curve whose points reduce to affine points (fewer if the
+    small-prime table runs out)."""
     disc = discriminant_cubic(spec.base.f)
     bad = 2 * abs(spec.d) * abs(disc.numerator) * disc.denominator
     for coeff in spec.base.f.coeffs:
@@ -219,99 +206,125 @@ def good_primes(spec: SpecializedTwist, how_many: int, floor: int = PRIME_FLOOR,
     for pt in spec.points:
         bad *= Fraction(pt.x).denominator * Fraction(pt.y).denominator
         # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
-    pool = []
-    n = max(floor, 2) + 1
-    while len(pool) < 4 * how_many:
-        if is_probable_prime(n) and bad % n != 0:
-            pool.append(n)
-        n += 1
-    rng = random.Random(seed)
-    return sorted(rng.sample(pool, how_many))
+    return [p for p in _SMALL_PRIMES if p > ELLS[-1] and bad % p != 0][:how_many]
+
+
+def _count_points(mc: _ModCurve) -> int:
+    """#E(F_p) = 1 + sum_x (1 + (D f(x) / p)), counted through the number of
+    square roots of each residue."""
+    p = mc.p
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    d_inv = pow(mc.d, -1, p)
+    return 1 + sum(roots[mc.f_at(x) * d_inv % p] for x in range(p))
+
+
+def _ell_row(mc: _ModCurve, order: int, ell: int, reduced) -> list[int]:
+    """dlog of (order/ell)*P for each reduced P, in the cyclic group of order
+    ell that these multiples lie in when v_ell(order) = 1."""
+    images = [mc.mul(order // ell, pt) for pt in reduced]
+    gen = next((q for q in images if q is not None), None)
+    dlog = {}
+    acc = gen
+    for k in range(1, ell):
+        dlog[acc] = k
+        acc = mc.add(acc, gen)
+    dlog[None] = 0
+    row = [dlog.get(q) for q in images]
+    if acc is not None or None in row:
+        raise CertifyError("point-count", f"#E(F_{mc.p}) = {order} is wrong (internal error)")
+    return row
+
+
+def _extend_basis(basis: list[tuple[int, list[int]]], row: list[int], ell: int) -> bool:
+    """Add the row to an echelon basis over F_ell; False if it is dependent."""
+    for pivot, b in basis:
+        c = row[pivot]
+        if c:
+            row = [(x - c * y) % ell for x, y in zip(row, b)]
+    pivot = next((i for i, x in enumerate(row) if x), None)
+    if pivot is None:
+        return False
+    inv = pow(row[pivot], -1, ell)
+    basis.append((pivot, [x * inv % ell for x in row]))
+    return True
 
 
 @dataclass(frozen=True)
 class SieveVerdict:
+    """The points span a subgroup of rank >= `rank`, proved at `ell`.
+
+    Rows: at each prime p of `primes_used`, v_ell(#E(F_p)) = 1 and
+    P -> dlog((#E/ell) * P) is an F_ell-linear functional on E(Q)/ell; these
+    rows have F_ell-rank `rank`.  At `torsion_prime`, ell does not divide
+    #E(F_p), so E(Q)[ell] = 0 and the F_ell-rank bounds the Z-rank.
+    """
+
     independent: bool
-    surviving: tuple[tuple[int, ...], ...]
-    excluded: int
+    rank: int
+    ell: int
     primes_used: tuple[int, ...]
+    torsion_prime: int | None
 
     def to_json(self) -> dict:
         return {
-            "verdict": "independent-up-to-bound" if self.independent else "possible-relation",
-            "surviving_vectors": [list(v) for v in self.surviving],
-            "excluded_vectors": self.excluded,
+            "verdict": "independent" if self.independent else "not-proved",
+            "rank": self.rank,
+            "ell": self.ell,
             "primes": list(self.primes_used),
+            "torsion_prime": self.torsion_prime,
         }
 
 
-def _relation_vectors(r: int, bound: int):
-    # canonical sign: first nonzero coordinate positive
-    for vec in product(range(-bound, bound + 1), repeat=r):
-        for entry in vec:
-            if entry > 0:
-                yield vec
-                break
-            if entry < 0:
-                break
+def _reduce_at(p: int, pts, d: int, f: UniPoly, disc: Fraction):
+    """The curve mod p, its point count, and the reduced points."""
+    if p <= ELLS[-1] or not is_probable_prime(p) or d % p == 0 or _mod_frac(disc, p) == 0:
+        raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
+    mc = _ModCurve(p, d, f)
+    reduced = [(_mod_frac(Fraction(pt.x), p), _mod_frac(Fraction(pt.y), p)) for pt in pts]
+    if not all(mc.on_curve(rp) for rp in reduced):
+        raise BadPrimeError(f"bad reduction at {p}")
+    return mc, _count_points(mc), reduced
 
 
-def mod_p_relation_sieve(
-    points, d: int, f: UniPoly, primes, bound: int = DEFAULT_RELATION_BOUND
-) -> SieveVerdict:
-    """Exclude integer relations sum(n_i P_i) in torsion with 0 < max|n_i| <= bound.
+def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
+    """Prove a lower bound on the rank of the subgroup the points generate by
+    reduction mod the given good primes, trying each ell in ELLS in turn.
 
-    A candidate vector survives a prime p when 12 * sum(n_i P_i) reduces to the
-    identity mod p; vectors surviving every prime are reported, and the verdict
-    is independent only when none survive.
+    The first ell whose rows reach full rank, with a torsion prime, gives an
+    independent verdict; otherwise the best proved rank is reported.
     """
     pts = tuple(points)
     r = len(pts)
-    if r == 0:
-        return SieveVerdict(True, (), 0, tuple(primes))
-    curve = TwistedCurve(CubicCurve(f), Fraction(d))
-    for p in pts:
-        if not curve.contains(p):
+    for pt in pts:
+        if not _on_twist(d, f, pt):
             raise CertifyError("sieve-input", "sieve input point is not on the curve")
-    survivors = list(_relation_vectors(r, bound))
-    total = len(survivors)
-    used = []
-    for p in primes:
-        if not is_probable_prime(p):
-            raise BadPrimeError(f"{p} is not prime")
-        mc = _ModCurve(p, d, f)
-        reduced = [_reduce_point(pt, p) for pt in pts]
-        for rp in reduced:
-            if not mc.on_curve(rp):
-                raise BadPrimeError(f"bad reduction at {p}")
-        # tables of n * (12 * P_i) so each candidate costs r-1 additions
-        tables = []
-        for rp in reduced:
-            base = mc.mul(TORSION_EXPONENT_BOUND, rp)
-            tab = {0: None}
-            acc = None
-            for n in range(1, bound + 1):
-                acc = mc.add(acc, base)
-                tab[n] = acc
-                tab[-n] = mc.neg(acc)
-            tables.append(tab)
-        used.append(p)
-        still = []
-        for vec in survivors:
-            acc = None
-            for i, n in enumerate(vec):
-                acc = mc.add(acc, tables[i][n])
-            if acc is None:
-                still.append(vec)
-        survivors = still
-        if not survivors:
-            break
-    return SieveVerdict(
-        independent=not survivors,
-        surviving=tuple(survivors),
-        excluded=total - len(survivors),
-        primes_used=tuple(used),
-    )
+    disc = discriminant_cubic(f)
+    reductions = {}
+    verdicts = []
+    for ell in ELLS:
+        basis: list = []
+        used = []
+        torsion = None
+        for p in primes:
+            if p not in reductions:
+                reductions[p] = _reduce_at(p, pts, d, f, disc)
+            mc, order, reduced = reductions[p]
+            if order % ell:
+                torsion = torsion or p
+            elif order % (ell * ell) and len(basis) < r:
+                if _extend_basis(basis, _ell_row(mc, order, ell, reduced), ell):
+                    used.append(p)
+            if torsion and len(basis) == r:
+                break
+        if torsion is None:  # the rows bound the rank only once E(Q)[ell] = 0 is shown
+            used = []
+        verdict = SieveVerdict(len(used) == r, len(used), ell, tuple(used), torsion)
+        if verdict.independent:
+            return verdict
+        verdicts.append(verdict)
+    return max(verdicts, key=lambda v: v.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +392,11 @@ def certify_family(
     fam: TwistFamily,
     samples: int = DEFAULT_SAMPLES,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    relation_bound: int = DEFAULT_RELATION_BOUND,
-    seed: int = 0,
 ) -> RankCertificate:
     """Run every certificate check in order; structural failures abort with
     the failing check named, independence failures only lower the result."""
+    if samples < 1 or prime_budget < 1:
+        raise ValueError(f"samples and prime_budget must be positive, got {samples} and {prime_budget}")
     checks: list[CheckResult] = []
     failures = validate_family(fam)
     curve = fam.curve()
@@ -419,42 +432,16 @@ def certify_family(
             independence_witness = {"strategy": "u->-u eigensplit", "classes": classes}
             checks.append(CheckResult("independence", "pass", independence_witness))
     if r >= 2 and certified < r:
-        sieve_witnesses = []
-        first = None
+        witnesses = []
         for u0 in _candidate_u0s(fam, samples):
             spec = specialize(fam, u0)
-            primes = good_primes(spec, prime_budget, seed=seed)
-            first = first or (u0, spec, primes)
-            verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes, relation_bound)
-            entry = {"u0": rat_to_str(u0), "d": spec.d, **verdict.to_json()}
-            sieve_witnesses.append(entry)
+            verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, good_primes(spec, prime_budget))
+            witnesses.append({"u0": rat_to_str(u0), "d": spec.d, **verdict.to_json()})
+            certified = max(certified, verdict.rank)
             if verdict.independent:
-                certified = r
                 break
-        if certified < r:
-            # fall back to pair subsets at the first u0 before settling for a
-            # single point; every pair tried is recorded so the bound replays
-            u0, spec, primes = first
-            for i, j in combinations(range(r), 2):
-                verdict = mod_p_relation_sieve(
-                    (spec.points[i], spec.points[j]), spec.d, fam.base.f, primes, relation_bound
-                )
-                sieve_witnesses.append({"u0": rat_to_str(u0), "d": spec.d, "pair": [i, j], **verdict.to_json()})
-                if verdict.independent:
-                    certified = 2
-                    break
-        independence_witness = {
-            "strategy": "specialization + mod-p relation sieve",
-            "relation_bound": relation_bound,
-            "specializations": sieve_witnesses,
-        }
-        checks.append(
-            CheckResult(
-                "independence",
-                "pass" if certified == r else "inconclusive",
-                independence_witness,
-            )
-        )
+        independence_witness = {"strategy": "specialization + mod-ell reduction", "specializations": witnesses}
+        checks.append(CheckResult("independence", "pass" if certified == r else "inconclusive", independence_witness))
     elif r == 1:
         checks.append(CheckResult("independence", "pass", independence_witness))
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a mathematical check failure, 2 on usage
 errors.  `--json` prints machine-readable output on stdout; diagnostics go to
-stderr.  Output is deterministic for identical inputs and `--seed`.
+stderr.  Output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -117,13 +117,7 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_certify(args) -> int:
     fam = _load_family(args.family)
     try:
-        cert = certify_mod.certify_family(
-            fam,
-            samples=args.samples,
-            prime_budget=args.primes,
-            relation_bound=args.bound,
-            seed=args.seed,
-        )
+        cert = certify_mod.certify_family(fam, samples=args.samples, prime_budget=args.primes)
     except CertifyError as exc:
         print(f"certification failed at check: {exc.check_name}", file=sys.stderr)
         _emit(args, {"failed_check": exc.check_name, "error": str(exc)}, [f"FAILED: {exc.check_name}"])
@@ -167,14 +161,7 @@ def _cmd_density(args) -> int:
     except densitylab.DensityError as exc:
         print(f"fit skipped: {exc}", file=sys.stderr)
     if args.certify:
-        report = densitylab.certified_density(
-            fam,
-            report,
-            prime_budget=args.primes,
-            relation_bound=args.bound,
-            seed=args.seed,
-            threads=args.threads,
-        )
+        report = densitylab.certified_density(fam, report, prime_budget=args.primes, threads=args.threads)
     payload = report.to_json(include_witnesses=not args.no_witnesses)
     lines = [f"family {report.family}: grid {report.grid}, {len(report.witnesses)} distinct squarefree twists"]
     for x, c in zip(report.x_grid, report.counts):
@@ -225,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="produce a rank certificate for a family JSON file")
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--samples", type=_positive_int, default=certify_mod.DEFAULT_SAMPLES)
-    p.add_argument("--primes", type=int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument("--bound", type=_positive_int, default=certify_mod.DEFAULT_RELATION_BOUND)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
     add_common(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -240,16 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="count distinct squarefree twists over a coprime grid")
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--grid", type=_positive_int, required=True)
-    p.add_argument("--modulus", type=int, default=1)
-    p.add_argument("--x-max", type=int, default=None, dest="x_max")
+    p.add_argument("--modulus", type=_positive_int, default=1)
+    p.add_argument("--x-max", type=_positive_int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--primes", type=int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument("--bound", type=_positive_int, default=certify_mod.DEFAULT_RELATION_BOUND)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
     p.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("TWISTLAB_THREADS", "1")),
+        type=_positive_int,
+        default=os.environ.get("TWISTLAB_THREADS", "1"),
         help="worker processes for certification (default: TWISTLAB_THREADS or 1)",
     )
     p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")

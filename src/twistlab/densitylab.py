@@ -4,8 +4,8 @@ Given the twist polynomial g, the binary form F(a, b) = b^(2k) g(a/b) with
 k = floor((deg g + 1)/2) is evaluated over a coprime integer grid; the set S
 collects the squarefree parts D = F(a,b)/v^2, and |S(x)| = #{D in S : |D| < x}
 is fitted against x^(1/k) on a log-log grid.  Optionally every counted D is
-certified by specializing the family at u0 = a/b and running the mod-p
-relation sieve.
+certified by specializing the family at u0 = a/b and proving its points
+independent by the mod-ell reduction certificate of `certify`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from math import gcd
 
 from .certify import (
     DEFAULT_PRIME_BUDGET,
-    DEFAULT_RELATION_BOUND,
     CertifyError,
     good_primes,
     mod_p_relation_sieve,
@@ -252,7 +251,7 @@ def with_fit(report: DensityReport) -> DensityReport:
 
 
 def _certify_one(args):
-    fam, d, a, b, prime_budget, relation_bound, seed = args
+    fam, d, a, b, prime_budget = args
     u0 = Fraction(a, b)
     try:
         spec = specialize(fam, u0)
@@ -260,8 +259,7 @@ def _certify_one(args):
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
     if spec.d != d:
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": "witness mismatch"}
-    primes = good_primes(spec, prime_budget, seed=seed)
-    verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes, relation_bound)
+    verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, good_primes(spec, prime_budget))
     rec = {"u0": rat_to_str(u0), "certified": verdict.independent, **verdict.to_json()}
     return d, rec
 
@@ -270,16 +268,13 @@ def certified_density(
     fam: TwistFamily,
     report: DensityReport,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    relation_bound: int = DEFAULT_RELATION_BOUND,
-    seed: int = 0,
     threads: int = 1,
 ) -> DensityReport:
-    """Attach a sieve verdict to every counted D; failures lower the certified
-    count but never abort."""
-    jobs = [
-        (fam, d, a, b, prime_budget, relation_bound, seed)
-        for d, (a, b) in sorted(report.witnesses.items())
-    ]
+    """Attach an independence verdict to every counted D; failures lower the
+    certified count but never abort."""
+    if prime_budget < 1:
+        raise ValueError(f"prime_budget must be positive, got {prime_budget}")
+    jobs = [(fam, d, a, b, prime_budget) for d, (a, b) in sorted(report.witnesses.items())]
     records: dict[int, dict] = {}
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -132,8 +132,11 @@ def test_criterion_4_genus_rank_accounting():
 def test_criterion_5_rank3_certificates():
     t0 = time.time()
     for fid in ("thm4_1", "thm4_2a", "thm4_2b", "thm4_3", "thm4_5"):
-        cert = certify_family(build(FamilySpec.make(fid)), samples=3, prime_budget=25, relation_bound=10)
+        cert = certify_family(build(FamilySpec.make(fid)), samples=3, prime_budget=60)
         assert cert.certified_lower == 3, fid
+        proof = next(c for c in cert.checks if c.name == "independence").witness["specializations"][-1]
+        assert proof["verdict"] == "independent" and proof["rank"] == 3, fid
+        assert len(proof["primes"]) == 3 and proof["torsion_prime"], fid
     elapsed = time.time() - t0
     assert elapsed < 120, f"rank-3 certificates took {elapsed:.1f}s"
     _report(5, "five families certify rank >= 3 at default budgets", t0)
@@ -203,8 +206,8 @@ def test_criterion_8_certified_density_soundness():
         assert rec["u0"] == str(F(a, b))
         if rec["certified"]:
             assert rec["primes"], d
-            assert rec["excluded_vectors"] > 0
-            assert rec["verdict"] == "independent-up-to-bound"
+            assert rec["torsion_prime"], d
+            assert rec["verdict"] == "independent" and rec["rank"] == 3
     _report(8, f"certified fraction {good}/{total} with replayable witnesses", t0)
 
 
@@ -271,7 +274,7 @@ def _tamper_poly(p: UniPoly, index: int) -> UniPoly:
 
 def _expect_named_failure(fam: TwistFamily) -> str:
     try:
-        certify_family(fam, samples=1, prime_budget=5, relation_bound=2)
+        certify_family(fam, samples=1, prime_budget=5)
     except CertifyError as err:
         return err.check_name
     report_fam = fam.provenance.get("family")

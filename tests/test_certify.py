@@ -1,4 +1,4 @@
-"""Rank certificates: eigensplit, specialization, and the mod-p sieve."""
+"""Rank certificates: eigensplit, specialization, and the mod-ell reduction proof."""
 
 from fractions import Fraction
 
@@ -12,6 +12,9 @@ from twistlab.certify import (
     BadPrimeError,
     CertifyError,
     RankCertificate,
+    SpecializedTwist,
+    _count_points,
+    _ModCurve,
     automorphism_classification,
     certify_family,
     genus_upper_bound,
@@ -20,6 +23,7 @@ from twistlab.certify import (
     specialize,
 )
 from twistlab.curves import CubicCurve, CurvePoint, TwistedCurve
+from twistlab.exactmath import discriminant_cubic
 from twistlab.twistforge import TwistFamily
 
 F = Fraction
@@ -89,11 +93,10 @@ def _spec_points():
 
 def test_sieve_certifies_independent_triple():
     fam, spec = _spec_points()
-    primes = good_primes(spec, 20)
-    verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes, bound=8)
-    assert verdict.independent
-    assert verdict.surviving == ()
-    assert verdict.excluded == ((2 * 8 + 1) ** 3 - 1) // 2
+    verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, good_primes(spec, 20))
+    assert verdict.independent and verdict.rank == 3
+    assert len(verdict.primes_used) == 3 and verdict.torsion_prime is not None
+    assert verdict.to_json()["verdict"] == "independent"
 
 
 def test_sieve_detects_planted_relation():
@@ -101,10 +104,19 @@ def test_sieve_detects_planted_relation():
     curve = spec.curve()
     p = spec.points[0]
     doubled = curve.multiply(2, p)
-    primes = good_primes(spec, 12)
-    verdict = mod_p_relation_sieve((p, doubled), spec.d, fam.base.f, primes, bound=4)
-    assert not verdict.independent
-    assert (2, -1) in verdict.surviving
+    verdict = mod_p_relation_sieve((p, doubled), spec.d, fam.base.f, good_primes(spec, 60))
+    assert not verdict.independent and verdict.rank <= 1
+    assert verdict.to_json()["verdict"] == "not-proved"
+
+
+def test_sieve_proves_p_and_3q_at_ell_other_than_3():
+    # every row at ell = 3 vanishes on 3Q, so only ell = 5 or 7 can prove the pair
+    fam, spec = _spec_points()
+    pts = (spec.points[0], spec.curve().multiply(3, spec.points[1]))
+    primes = good_primes(SpecializedTwist(spec.u0, spec.d, spec.base, pts), 60)
+    verdict = mod_p_relation_sieve(pts, spec.d, fam.base.f, primes)
+    assert verdict.independent and verdict.rank == 2
+    assert verdict.ell != 3
 
 
 @settings(max_examples=12, deadline=None)
@@ -115,42 +127,66 @@ def test_sieve_never_passes_dependent_inputs(m, n):
     p = spec.points[0]
     q = curve.multiply(m, p)
     r = curve.multiply(n, spec.points[1])
-    primes = good_primes(spec, 10)
-    verdict = mod_p_relation_sieve((p, q, r), spec.d, fam.base.f, primes, bound=max(m, n) + 1)
-    assert not verdict.independent
+    primes = good_primes(SpecializedTwist(spec.u0, spec.d, spec.base, (p, q, r)), 60)
+    verdict = mod_p_relation_sieve((p, q, r), spec.d, fam.base.f, primes)
+    assert not verdict.independent and verdict.rank <= 2
+
+
+def test_sieve_never_proves_a_torsion_point():
+    # (0, 1) has order 3 on y^2 = x^3 + 1, so 3 divides every #E(F_p): no
+    # prime shows E(Q)[3] = 0, and at ell = 5, 7 the point's rows vanish
+    base = CubicCurve(upoly(1, 0, 0, 1))
+    pt = CurvePoint(F(0), F(1))
+    primes = good_primes(SpecializedTwist(F(0), 1, base, (pt,)), 30)
+    verdict = mod_p_relation_sieve((pt,), 1, base.f, primes)
+    assert not verdict.independent and verdict.rank == 0
+    assert verdict.to_json()["verdict"] == "not-proved"
 
 
 def test_sieve_empty_points_trivially_independent():
     fam, spec = _spec_points()
-    verdict = mod_p_relation_sieve((), spec.d, fam.base.f, [53], bound=10)
-    assert verdict.independent and verdict.excluded == 0
+    verdict = mod_p_relation_sieve((), spec.d, fam.base.f, [53])
+    assert verdict.independent and verdict.rank == 0
 
 
 def test_sieve_rejects_bad_prime():
     fam, spec = _spec_points()
-    bad = abs(spec.d)
-    # pick a prime dividing 2 * d: 2 itself
-    with pytest.raises(BadPrimeError):
-        mod_p_relation_sieve(spec.points, spec.d, fam.base.f, [3, 29274 // 6], bound=2)
-    with pytest.raises(BadPrimeError):
-        mod_p_relation_sieve(spec.points, spec.d, fam.base.f, [15], bound=2)  # composite
+    assert spec.d % 17 == 0
+    # a prime at most max(ELLS), a prime dividing d, a composite
+    for primes in ([3], [17], [15]):
+        with pytest.raises(BadPrimeError):
+            mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
 
 
 def test_sieve_rejects_off_curve_point():
     fam, spec = _spec_points()
     fake = CurvePoint(spec.points[0].x + 1, spec.points[0].y)
-    with pytest.raises(CertifyError):
-        mod_p_relation_sieve((fake,), spec.d, fam.base.f, [53], bound=2)
+    with pytest.raises(CertifyError) as err:
+        mod_p_relation_sieve((fake,), spec.d, fam.base.f, [53])
+    assert err.value.check_name == "sieve-input"
+
+
+def test_count_points_matches_brute_force():
+    fam, spec = _spec_points()
+    for d in (spec.d, 1, -1, 5, 77):
+        for p in (11, 13, 19, 23, 29, 53, 97):
+            if d % p == 0:
+                continue
+            mc = _ModCurve(p, d, fam.base.f)
+            brute = 1 + sum(1 for x in range(p) for y in range(p) if (mc.d * y * y - mc.f_at(x)) % p == 0)
+            assert _count_points(mc) == brute, (d, p)
 
 
 def test_good_primes_deterministic_and_floor():
     fam, spec = _spec_points()
-    a = good_primes(spec, 25, seed=0)
-    b = good_primes(spec, 25, seed=0)
-    c = good_primes(spec, 25, seed=1)
-    assert a == b and len(a) == 25
-    assert all(p > 50 for p in a)
-    assert a != c  # a different seed reshuffles the pool
+    a = good_primes(spec, 25)
+    assert a == good_primes(spec, 25) and len(a) == 25
+    assert a == sorted(a) and all(p > 7 for p in a)
+    disc = discriminant_cubic(fam.base.f)
+    bad = 2 * spec.d * disc.numerator * disc.denominator
+    for pt in spec.points:
+        bad *= pt.x.denominator * pt.y.denominator
+    assert all(bad % p != 0 for p in a)
 
 
 def test_certificates_for_rank3_families():
@@ -180,8 +216,8 @@ def test_certificate_tower():
 
 def test_certificate_monotone_in_budgets():
     fam = build(FamilySpec.make("thm4_5"))
-    small = certify_family(fam, samples=1, prime_budget=8, relation_bound=4)
-    big = certify_family(fam, samples=3, prime_budget=25, relation_bound=10)
+    small = certify_family(fam, samples=1, prime_budget=8)
+    big = certify_family(fam, samples=3, prime_budget=60)
     assert small.certified_lower <= big.certified_lower
     assert big.certified_lower == 3
 
@@ -211,18 +247,25 @@ def test_certificate_json_shape():
     assert {c["name"] for c in data["checks"]} >= {"on-curve[1]", "independence", "genus-bound"}
 
 
-def test_pair_fallback_leaves_a_replayable_record():
+def test_certify_rejects_nonpositive_budgets():
     fam = build(FamilySpec.make("thm4_5"))
-    cert = certify_family(fam, samples=1, prime_budget=3)
-    assert cert.certified_lower == 2
-    check = next(c for c in cert.checks if c.name == "independence")
-    assert check.status == "inconclusive"
-    full, *pairs = check.witness["specializations"]
-    assert full["verdict"] == "possible-relation" and "pair" not in full
-    assert pairs and pairs[-1]["verdict"] == "independent-up-to-bound"
-    for entry in pairs:
-        spec = specialize(fam, F(entry["u0"]))
-        assert spec.d == entry["d"] == full["d"]
-        i, j = entry["pair"]
-        verdict = mod_p_relation_sieve((spec.points[i], spec.points[j]), spec.d, fam.base.f, entry["primes"])
-        assert verdict.to_json() == {k: entry[k] for k in verdict.to_json()}
+    for kwargs in ({"samples": 0}, {"prime_budget": 0}, {"samples": -1}):
+        with pytest.raises(ValueError, match="must be positive"):
+            certify_family(fam, **kwargs)
+
+
+def test_recorded_verdicts_replay():
+    # thm4_2b is not proved at u0 = 2 (rank 2 of 3) and proved at u0 = 3;
+    # thm4_5 with three primes proves a partial rank only
+    for fid, kwargs in (("thm4_2b", {}), ("thm4_5", {"samples": 1, "prime_budget": 3})):
+        fam = build(FamilySpec.make(fid))
+        cert = certify_family(fam, **kwargs)
+        check = next(c for c in cert.checks if c.name == "independence")
+        entries = check.witness["specializations"]
+        assert cert.certified_lower == max(1, *(e["rank"] for e in entries))
+        for entry in entries:
+            spec = specialize(fam, F(entry["u0"]))
+            assert spec.d == entry["d"]
+            primes = entry["primes"] + ([entry["torsion_prime"]] if entry["torsion_prime"] else [])
+            verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
+            assert verdict.to_json() == {k: entry[k] for k in verdict.to_json()}

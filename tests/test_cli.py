@@ -109,7 +109,7 @@ def test_crosscheck_cli(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["catalog-build", "--id", "thm4_5", "--frobnicate"])
     assert exc.value.code == 2
@@ -139,15 +139,33 @@ def test_usage_errors(capsys, tmp_path):
         assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2
         _, err = _capture(capsys)
         assert field in err
+    density = ["density", "--family", str(path), "--grid", "2"]
     for argv in (
         ["density", "--family", str(path), "--grid", "0"],
+        density + ["--modulus", "0"],
+        density + ["--x-max", "0"],
+        density + ["--certify", "--primes", "0"],
+        density + ["--certify", "--primes", "-3"],
+        density + ["--certify", "--threads", "-1"],
+        density + ["--certify", "--bound", "10"],
         ["certify", "--family", str(path), "--samples", "0"],
-        ["certify", "--family", str(path), "--bound", "0"],
+        ["certify", "--family", str(path), "--primes", "0"],
+        ["certify", "--family", str(path), "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        _capture(capsys)
+        _, err = _capture(capsys)
+        assert "error:" in err
+    # a bad TWISTLAB_THREADS fails only the command that reads it
+    monkeypatch.setenv("TWISTLAB_THREADS", "abc")
+    assert run(["catalog-list"]) == 0
+    _capture(capsys)
+    with pytest.raises(SystemExit) as exc:
+        run(density)
+    assert exc.value.code == 2
+    _, err = _capture(capsys)
+    assert "--threads" in err
 
 
 def test_inputs_never_mutated(capsys, tmp_path):

@@ -123,21 +123,22 @@ def test_small_grid_slopes_land_near_prediction():
 def test_certified_density_subset_and_witnesses():
     fam, form = _form("thm4_5")
     rep = enumerate_S(form, grid=12, modulus=1, x_max=None, family="thm4_5")
-    out = certified_density(fam, rep, prime_budget=15, relation_bound=6)
+    out = certified_density(fam, rep, prime_budget=15)
     assert all(c <= t for c, t in zip(out.certified_counts, out.counts))
     certified = [d for d, rec in out.certifications.items() if rec["certified"]]
     assert len(certified) / len(out.witnesses) > 0.9
-    # replayable witness: primes and excluded vector counts are recorded
+    # replayable witness: ell, the row primes and the torsion prime are recorded
     some = out.certifications[certified[0]]
-    assert some["primes"] and some["excluded_vectors"] > 0
+    assert some["verdict"] == "independent" and some["rank"] == 3
+    assert len(some["primes"]) == 3 and some["ell"] in (3, 5, 7) and some["torsion_prime"]
     assert out.witnesses[certified[0]][1] >= 1
 
 
 def test_certified_density_threads_match_sequential():
     fam, form = _form("thm4_5")
     rep = enumerate_S(form, grid=6, modulus=1, x_max=None, family="thm4_5")
-    seq = certified_density(fam, rep, prime_budget=10, relation_bound=4, threads=1)
-    par = certified_density(fam, rep, prime_budget=10, relation_bound=4, threads=2)
+    seq = certified_density(fam, rep, prime_budget=10, threads=1)
+    par = certified_density(fam, rep, prime_budget=10, threads=2)
     assert seq.certified_counts == par.certified_counts
     assert seq.certifications == par.certifications
 
@@ -152,10 +153,12 @@ def test_report_json_round_trip_fields():
 
 
 def test_invalid_arguments():
-    _, form = _form("cor3_2")
+    fam, form = _form("cor3_2")
     with pytest.raises(DensityError):
         enumerate_S(form, grid=0)
     with pytest.raises(DensityError):
         enumerate_S(form, grid=5, modulus=0)
     with pytest.raises(DensityError):
         homog_form(UniPoly([3]))
+    with pytest.raises(ValueError, match="must be positive"):
+        certified_density(fam, enumerate_S(form, grid=3), prime_budget=0)
