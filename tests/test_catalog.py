@@ -22,6 +22,7 @@ from twistlab.catalog import (
     rem4_6_tower,
     twist_identities,
 )
+from twistlab.certify import certify_family
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.jsonio import dump_json, family_to_json
 from twistlab.twistforge import validate_family
@@ -122,6 +123,76 @@ CATALOG_SHA256 = {
     "mestre3_4 a=2 b=1": (
         "4e15d69a4e0ad8ae013442f1ccbccdc4268d28374fc835c770961afee6d78cd2",
         "1b2410068fdbba39345d263ca944813e6cc2a482476c8c91135257ed068f214f",
+    ),
+}
+
+
+# sha256 of the pretty-printed certificate JSON and crosscheck payload, for
+# the same cases as CATALOG_SHA256
+CERT_CROSSCHECK_SHA256 = {
+    "cor3_2": (
+        "a7482bc6bb4ed1d32a0bc6c94f7ba6fe72d264b261407e2ae0719c850a7418b5",
+        "faf8f4b152b28559d063caf993fd486fb495b1eb6520f426b3991b80da3ca668",
+    ),
+    "cor3_3": (
+        "7889d158dcb38af78e8964847d170a4e7655b05a219880dd257685eb35c15295",
+        "b443c56051c12366c96da490a00f51a31ad7a9841e232f47bbe1c51890d13d3c",
+    ),
+    "mestre3_4": (
+        "12ecbfce4c731ce5874a4ea7abb7498c823d09c62a9c7668086b66f6390ccae2",
+        "22d04dec16920d0fbb6bcf00d3f89c14141433701784737dfab4ec30b42117db",
+    ),
+    "thm4_1": (
+        "dd6fd1a8a55f7419e5a5e702c0be891c0106b4f143fa961f25f33958d909a7db",
+        "b166fe83967d3f99de4362ea559e1b9c765896873a57d07b58cce44e61be588f",
+    ),
+    "thm4_2a": (
+        "55c887fc9ecff762a4de8221a1636341d8bb75662b9674b9687df73a8973718f",
+        "ce4929a178ca1d7e45a81bd692e544823c1a61dd6f37b3f41f0bde72ddcbb343",
+    ),
+    "thm4_2b": (
+        "18fbca407fe305f89597669ece4a79ee276a794346a63a53cc28c2094c54eee8",
+        "d4943d8849f1f8f3a54cb7aed78d0c95bd9305455c09eb09f81c767f006f1b17",
+    ),
+    "thm4_3": (
+        "bf18106a4b6c740846924a1145719c092975d00c1550bb8395f5d32f1f4e539e",
+        "b14b871513503ab5ac31895bd69e043d263cee86c036f58f1d45b1c002c885a6",
+    ),
+    "thm4_5": (
+        "dc55ec07359367e47f4390c5f1f432d5c47e30e6a0750eaa93637e169ac72021",
+        "561ea6ef5d411a79d16fcc3b2982a6f595f7c91231fe5dbc5dd66de870e0f6bd",
+    ),
+    "rem4_6": (
+        "3589ea6c3debd79880b9c24ff265cffea427b38743408aac9a6606784ce7f44b",
+        "1b3cd2f5313fa3e99efaae58957e1a4480e68e7c744df38fed0dc67cb06ba47f",
+    ),
+    "cor3_2 a=2 b=3": (
+        "bcb36eaa7fb103a70fe931829b7ca7df5b89c961852fa0fe5fb7562d759161b4",
+        "1323f6dd65e283e4bc270c2bef5b16beebc7be4df23ec06a96bc878dcedabf82",
+    ),
+    "cor3_3 b=1 c=2": (
+        "c6a866bf416911938a024d7410abe5fa8dd6fd6d86535fef7bd6c04938a49ba3",
+        "0695c3066f367ee4ad7ed621a79c7b3dd0417ba11e8d048ccbfafc564f7105f7",
+    ),
+    "thm4_1 a=2": (
+        "6b235a3332d1da9e3b21891ee91d1f3f8d5c8606d65bc639e9f326a5c1f480aa",
+        "db0b56dd3a31a991d7ada82be800431c611c6424ebc6715c8a9025f8df018a76",
+    ),
+    "thm4_3 a=3 b=2": (
+        "cc9f1cad0505bb191929e4e6d3310ff35de21d9733f8f51bcc95a9393be45f82",
+        "5eccf4196300cc55c8c6cfacc195abdb5f625c3dc89674ab62ec02d99e5a892e",
+    ),
+    "thm4_2a a=3": (
+        "168bb705a8b28453e5ac89e476b84fbfddb19ecf60ebab20bf3665db96c93c04",
+        "5e037c9249c7478f2d430671a1b552793b48e9df7400483f459b0c960e30579e",
+    ),
+    "thm4_2b a=-1": (
+        "f1bb890b7f41ecb51ee0feae2e8220c73397597ba9a68830253c8961c8ed2103",
+        "4289db2e49e94b00d4bda447244a8c04a0588e780926c39da244fe03ead2466a",
+    ),
+    "mestre3_4 a=2 b=1": (
+        "6ec2b1b7c453490af58f0b9e4a0a23e4ea597b06fa3e8b09402df364a71a15aa",
+        "731d638d0df0a44e85e6474206df04d4cb3bfb12d6eb17de7a634183715bb1da",
     ),
 }
 
@@ -310,3 +381,26 @@ def test_tower_rank2_points_descend_from_degree12_family():
 def test_mestre_pipeline_matches_display_exactly():
     spec = FamilySpec.make("mestre3_4")
     assert build(spec).g == build_pipeline(spec).g
+
+
+def _crosscheck_payload(report) -> dict:
+    # the JSON that `twistlab crosscheck --json` prints
+    return {
+        "family": report.family,
+        "params": report.params,
+        "g_square_class_matches": report.g_square_class_matches,
+        "point_matches": list(report.point_matches),
+        "messages": list(report.messages),
+        "ok": report.ok,
+    }
+
+
+def test_certificate_and_crosscheck_digests():
+    cases = [(fid, {}) for fid in FAMILY_IDS] + list(OFF_DEFAULT_PARAMS)
+    assert len(cases) == len(CERT_CROSSCHECK_SHA256)
+    for fid, params in cases:
+        key = " ".join([fid] + [f"{k}={v}" for k, v in params.items()])
+        spec = FamilySpec.make(fid, params)
+        payloads = (certify_family(build(spec)).to_json(), _crosscheck_payload(crosscheck(spec)))
+        digests = tuple(hashlib.sha256(dump_json(p).encode()).hexdigest() for p in payloads)
+        assert digests == CERT_CROSSCHECK_SHA256[key], key
