@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .curves import CubicCurve, CurvePoint, TwistedCurve
+from .curves import CubicCurve, CurvePoint, TwistedCurve, on_twist
 from .exactmath import (
     _SMALL_PRIMES,
     ExactMathError,
@@ -29,7 +29,7 @@ from .exactmath import (
     rational_sqrt,
     squarefree_part_int,
 )
-from .twistforge import TwistFamily, validate_family
+from .twistforge import TwistFamily, genus_upper_bound, validate_family
 
 # the primes ell whose F_ell-ranks are tried, in order
 ELLS = (3, 5, 7)
@@ -97,11 +97,6 @@ class SpecializedTwist:
         }
 
 
-def genus_upper_bound(g: UniPoly) -> int:
-    """Genus of s^2 = g(u) for squarefree g, which bounds the twist rank."""
-    return (g.degree - 1) // 2
-
-
 def specialize(fam: TwistFamily, u0) -> SpecializedTwist:
     """Substitute a rational u0, clearing the square part of g(u0) into the
     y-coordinates so the twist constant is a squarefree integer."""
@@ -120,7 +115,7 @@ def specialize(fam: TwistFamily, u0) -> SpecializedTwist:
             raise CertifyError("specialize", f"u0 = {rat_to_str(u0)} hits a pole of point {i}: {exc}")
         pts.append(CurvePoint(x, y * w))
     for i, p in enumerate(pts, start=1):
-        if not _on_twist(d, fam.base.f, p):
+        if not on_twist(d, fam.base.f, p):
             raise CertifyError("specialize", f"specialized point {i} left the curve (internal error)")
     return SpecializedTwist(u0, d, fam.base, tuple(pts))
 
@@ -188,11 +183,6 @@ def _mod_frac(q: Fraction, p: int) -> int:
     if q.denominator % p == 0:
         raise BadPrimeError(f"denominator divisible by {p}")
     return q.numerator * pow(q.denominator, -1, p) % p
-
-
-def _on_twist(d: int, f: UniPoly, pt: CurvePoint) -> bool:
-    """Exact test of d*y^2 == f(x) at a rational point, with no check on d."""
-    return d * pt.y * pt.y == f(pt.x)
 
 
 def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
@@ -298,7 +288,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     pts = tuple(points)
     r = len(pts)
     for pt in pts:
-        if not _on_twist(d, f, pt):
+        if not on_twist(d, f, pt):
             raise CertifyError("sieve-input", "sieve input point is not on the curve")
     disc = discriminant_cubic(f)
     reductions = {}
@@ -397,31 +387,21 @@ def certify_family(
     the failing check named, independence failures only lower the result."""
     if samples < 1 or prime_budget < 1:
         raise ValueError(f"samples and prime_budget must be positive, got {samples} and {prime_budget}")
-    checks: list[CheckResult] = []
+    r = len(fam.points)
+    indices = range(1, r + 1)
+    infinite_order = "nonconstant x implies infinite order"
+    # the structural checks in certificate order, all decided by one validate_family pass
+    checks = (
+        [CheckResult(f"on-curve[{i}]", "pass", {"point": i}) for i in indices]
+        + [CheckResult(f"nonconstant-x[{i}]", "pass", {"point": i, "reason": infinite_order}) for i in indices]
+        + [CheckResult(name, "pass", {}) for name in ("g-squarefree", "g-nonconstant")]
+    )
     failures = validate_family(fam)
-    curve = fam.curve()
-    for i, p in enumerate(fam.points, start=1):
-        name = f"on-curve[{i}]"
-        ok = name not in failures and curve.contains(p)
-        checks.append(CheckResult(name, "pass" if ok else "fail", {"point": i}))
-        if not ok:
-            raise CertifyError(name)
-    for i, p in enumerate(fam.points, start=1):
-        name = f"nonconstant-x[{i}]"
-        ok = p.has_nonconstant_x()
-        checks.append(
-            CheckResult(name, "pass" if ok else "fail", {"point": i, "reason": "nonconstant x implies infinite order"})
-        )
-        if not ok:
-            raise CertifyError(name)
-    for name in ("g-squarefree", "g-nonconstant"):
-        ok = name not in failures
-        checks.append(CheckResult(name, "pass" if ok else "fail", {}))
-        if not ok:
-            raise CertifyError(name)
+    for check in checks:
+        if check.name in failures:
+            raise CertifyError(check.name)
 
     genus = genus_upper_bound(fam.g)
-    r = len(fam.points)
     certified = 1 if r >= 1 else 0
     independence_witness: dict = {"strategy": "single nonconstant point"} if r else {}
 

@@ -34,13 +34,6 @@ def _is_constant_elem(x: FieldElem) -> bool:
     return not isinstance(x, RatFunc) or x.is_constant()
 
 
-def evaluate_cubic(f: UniPoly, x: FieldElem) -> FieldElem:
-    """f(x) for x in Q or Q(u)."""
-    if isinstance(x, RatFunc):
-        return compose(f, x)
-    return f(x)
-
-
 @dataclass(frozen=True)
 class CubicCurve:
     """y^2 = f(x) with f a monic nonsingular cubic over Q."""
@@ -103,6 +96,12 @@ class CurvePoint:
 INFINITY = CurvePoint(None, None)
 
 
+def on_twist(d: FieldElem, f: UniPoly, pt: CurvePoint) -> bool:
+    """Exact test of d*y^2 == f(x) for d and the coordinates in Q or Q(u);
+    infinity is on every twist, and d itself is not checked."""
+    return pt.is_infinity or d * pt.y * pt.y == f(pt.x)
+
+
 @dataclass(frozen=True)
 class TwistedCurve:
     """D*y^2 = f(x) for a nonzero twisting element D.
@@ -132,11 +131,7 @@ class TwistedCurve:
 
     def contains(self, pt: CurvePoint) -> bool:
         """Exact symbolic test of D*y^2 == f(x)."""
-        if pt.is_infinity:
-            return True
-        lhs = self.d * pt.y * pt.y
-        rhs = evaluate_cubic(self.base.f, pt.x)
-        return lhs == rhs
+        return on_twist(self.d, self.base.f, pt)
 
     # -- group law -----------------------------------------------------------
 
@@ -150,7 +145,7 @@ class TwistedCurve:
             if p.y + q.y == 0:
                 return INFINITY
             # tangent: implicit differentiation of D y^2 = f(x)
-            slope = evaluate_cubic(self.base.f.derivative(), p.x) / (2 * self.d * p.y)
+            slope = self.base.f.derivative()(p.x) / (2 * self.d * p.y)
         else:
             slope = (q.y - p.y) / (q.x - p.x)
         x3 = self.d * slope * slope - self.base.e2 - p.x - q.x

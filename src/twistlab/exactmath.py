@@ -29,7 +29,10 @@ def rat_to_str(q: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse a rational such as "3/4"; a zero denominator raises ValueError like any bad literal."""
+    """Parse a rational string such as "3/4"; a zero denominator raises
+    ValueError like any bad literal, and a non-string raises TypeError."""
+    if not isinstance(s, str):
+        raise TypeError(f"a rational must be a string such as \"3/4\", not {type(s).__name__}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -237,11 +240,13 @@ class UniPoly:
             raise ExactMathError("homogenization degree below polynomial degree")
         if self.is_zero():
             return ZERO
-        # Horner in p with one factor of q folded in per step.
-        acc = UniPoly([self.coeff(self.degree)])
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * p + UniPoly([self.coeff(i)]) * _pow_cache(q, self.degree - i)
-        return acc * _pow_cache(q, n - self.degree)
+        # Horner in p, carrying the running power of q
+        acc = UniPoly([self.leading()])
+        q_pow = ONE
+        for c in reversed(self.coeffs[:-1]):
+            q_pow = q_pow * q
+            acc = acc * p + q_pow * c
+        return acc * q ** (n - self.degree)
 
     def content_and_primitive(self) -> tuple[Fraction, "UniPoly"]:
         """Write self = c * prim with prim in Z[t], content 1, positive leading coeff."""
@@ -296,20 +301,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly('{self.to_str()}')"
-
-
-_POW_CACHE: dict[tuple, UniPoly] = {}
-
-
-def _pow_cache(p: UniPoly, n: int) -> UniPoly:
-    key = (p.coeffs, n)
-    got = _POW_CACHE.get(key)
-    if got is None:
-        got = p ** n
-        if len(_POW_CACHE) > 4096:
-            _POW_CACHE.clear()
-        _POW_CACHE[key] = got
-    return got
 
 
 ZERO = UniPoly()
@@ -458,7 +449,7 @@ def compose(f: UniPoly, h) -> RatFunc:
     if isinstance(h, (int, Fraction, UniPoly)):
         h = RatFunc(h)
     n = max(f.degree, 0)
-    return RatFunc(f.eval_homog(h.num, h.den, n), _pow_cache(h.den, n))
+    return RatFunc(f.eval_homog(h.num, h.den, n), h.den ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ def poly_to_json(p: UniPoly) -> list[str]:
 
 
 def poly_from_json(coeffs) -> UniPoly:
+    if not isinstance(coeffs, list):
+        raise TypeError(f"a polynomial must be a list of coefficients, not {type(coeffs).__name__}")
     return UniPoly([rat_from_str(c) for c in coeffs])
 
 
@@ -55,6 +57,12 @@ def family_to_json(fam: TwistFamily) -> dict:
     }
 
 
+def _rank_from_json(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"a rank must be an integer, not {type(n).__name__}")
+    return n
+
+
 def _field(d: dict, key: str, decode):
     """decode(d[key]), raising ValueError that names the field when it is missing or malformed."""
     if key not in d:
@@ -68,7 +76,7 @@ def _field(d: dict, key: str, decode):
 
 
 def family_from_json(d) -> TwistFamily:
-    """Decode a family without validating it (certification re-checks everything).
+    """Decode a family without validating it (`certify_family` validates its input).
 
     Input that does not follow the schema raises ValueError naming the field.
     """
@@ -79,7 +87,7 @@ def family_from_json(d) -> TwistFamily:
         base=CubicCurve(UniPoly([e0, e1, e2, 1])),
         g=_field(d, "g", poly_from_json),
         points=_field(d, "points", lambda pts: tuple(point_from_json(p) for p in pts)),
-        claimed_rank=_field(d, "claimed_rank", int),
+        claimed_rank=_field(d, "claimed_rank", _rank_from_json),
         provenance=_field(d, "provenance", dict) if "provenance" in d else {},
     )
 

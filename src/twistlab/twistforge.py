@@ -291,7 +291,12 @@ class TwistFamily:
         return TwistedCurve(self.base, RatFunc(self.g))
 
     def genus_upper(self) -> int:
-        return (self.g.degree - 1) // 2
+        return genus_upper_bound(self.g)
+
+
+def genus_upper_bound(g: UniPoly) -> int:
+    """Genus of s^2 = g(u) for squarefree g, which bounds the twist rank."""
+    return (g.degree - 1) // 2
 
 
 def validate_family(fam: TwistFamily) -> list[str]:

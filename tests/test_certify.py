@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import upoly
-from twistlab.catalog import FamilySpec, build, rem4_6_tower
+from twistlab import catalog
+from twistlab.catalog import FamilySpec, build, crosscheck, rem4_6_tower
 from twistlab.certify import (
     BadPrimeError,
     CertifyError,
@@ -269,3 +270,27 @@ def test_recorded_verdicts_replay():
             primes = entry["primes"] + ([entry["torsion_prime"]] if entry["torsion_prime"] else [])
             verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
             assert verdict.to_json() == {k: entry[k] for k in verdict.to_json()}
+
+
+def test_each_family_is_checked_once(monkeypatch):
+    calls = {"contains": 0, "pipeline": 0}
+    contains, pipeline = TwistedCurve.contains, catalog._pipeline
+
+    def counting_contains(self, pt):
+        calls["contains"] += 1
+        return contains(self, pt)
+
+    def counting_pipeline(spec):
+        calls["pipeline"] += 1
+        return pipeline(spec)
+
+    monkeypatch.setattr(TwistedCurve, "contains", counting_contains)
+    monkeypatch.setattr(catalog, "_pipeline", counting_pipeline)
+    for fid in ("cor3_2", "thm4_5", "rem4_6"):
+        fam = build(FamilySpec.make(fid))
+        calls["contains"] = 0
+        certify_family(fam)
+        assert calls["contains"] == len(fam.points), fid
+    calls["pipeline"] = 0
+    assert crosscheck(FamilySpec.make("thm4_2a")).ok
+    assert calls["pipeline"] == 1

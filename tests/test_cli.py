@@ -134,9 +134,19 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert "zero denominator" in err
     payload = load_json(path)
     del payload["curve"]["e0"]
-    for bad, field in ((payload, "'curve'"), ([payload], "object")):
+    good = load_json(path)
+    for bad, field in (
+        (payload, "'curve'"),
+        ([payload], "object"),
+        ({**good, "claimed_rank": 2.9}, "'claimed_rank'"),
+        ({**good, "claimed_rank": "2"}, "'claimed_rank'"),
+        ({**good, "claimed_rank": True}, "'claimed_rank'"),
+        ({**good, "g": [0.1] + good["g"][1:]}, "'g'"),
+        ({**good, "g": "123"}, "'g'"),
+        ({**good, "curve": {**good["curve"], "e1": -1}}, "'curve'"),
+    ):
         dump_json(bad, path=tmp_path / "bad.json")
-        assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2
+        assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2, bad
         _, err = _capture(capsys)
         assert field in err
     density = ["density", "--family", str(path), "--grid", "2"]

@@ -302,6 +302,9 @@ def test_rat_string_round_trip():
     for bad in ("1/0", "zebra"):
         with pytest.raises(ValueError):
             rat_from_str(bad)
+    for not_a_string in (3, 0.1, True, None, ["3/4"]):
+        with pytest.raises(TypeError):
+            rat_from_str(not_a_string)
 
 
 def test_rational_sqrt():
