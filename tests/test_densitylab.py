@@ -1,12 +1,14 @@
 """Squarefree-twist counting: forms, enumeration, fitting, certification."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistlab.catalog import FamilySpec, build
+from twistlab.catalog import FAMILY_IDS, FamilySpec, build
 from twistlab.densitylab import (
     DensityError,
     DensityReport,
@@ -59,6 +61,41 @@ def test_factored_path_matches_direct_factorization():
                 assert got is None
             else:
                 assert got == squarefree_part_int(direct)
+
+
+# sha256 of the sorted (D, witness) list from enumerate_S with x_max=None,
+# keyed by (family, grid, modulus); the nine defaults run at grid 30
+WITNESS_SHA256 = {
+    ("cor3_2", 120, 1): "c7987e2498dcf7a0ab64acfded8e924b1a4d6d1aa1fb028837182692962e93ef",
+    ("thm4_5", 120, 1): "4e56a98d89d491231a11ef610d73d091013e4ca0e337c4f5f3bfea2c2e0df133",
+    ("cor3_2", 30, 1): "bb00f771f55dd14971fffaf3cae54edb70d9b6f2a675daacb044700e0a78a6c0",
+    ("cor3_2", 30, 3): "349da920391da9336de87ceaddc21166dcdedf26fb7acfd8a989c738bdb4e279",
+    ("cor3_3", 30, 1): "a55096809edfebd27f9bf43a6ffbcc2d267cc042b78297e886618f625ee4b829",
+    ("cor3_3", 30, 3): "d21898dc8fdb0762f581d00073fd2ee98cea5d4838a509c7f13bdcdee6e36c93",
+    ("mestre3_4", 30, 1): "0971dc23e3dcd2c304d8f9f523a11a37881d226f78ae7fd7f43e5ea0ae12c5fa",
+    ("mestre3_4", 30, 3): "d16da4f9a824715e547ace4cc540c673fc5cacd4d2e9728cce7edbf9b8723dfd",
+    ("thm4_1", 30, 1): "9d0c6ace968ded697e73545dbbd77d5215f0a1ba2cf665ba229a1c8b745d1d4b",
+    ("thm4_1", 30, 3): "7f29ece5e6b86d5c23ff02b6492f76d239f82de53b95f006659678bbe0f3f67b",
+    ("thm4_2a", 30, 1): "58a451681e9e017d584de814a9e620ca202a716119cce078f4f8d0cead8648e7",
+    ("thm4_2a", 30, 3): "f38c7cff68ddc689960108521300a843d99ef477f00b1eeec29b525b901f61e5",
+    ("thm4_2b", 30, 1): "ad7e5e9ab8c96938987a5ac8f25298d106c02294f4cf93d1d172de502012fa15",
+    ("thm4_2b", 30, 3): "d8f94b326248027f046b2e810f06b62676c427050254387feaff350c62188469",
+    ("thm4_3", 30, 1): "7a9a66ee916f1c5485bbff44bfca007aac6e7382c08aadba0a57f369c68f086c",
+    ("thm4_3", 30, 3): "3a475e3e952d41c1213ef6cf5b72eca9e17746d3d1022168c54e318bbfed7bf5",
+    ("thm4_5", 30, 1): "461ca258554848f2f325d1191e3dbe9071e2d6c3b31a24c5c0e600aea6b4d346",
+    ("thm4_5", 30, 3): "958c8215c766e73dc96777ce3fcc2924c275163dc0cfc1224740a811a5fd7b7b",
+    ("rem4_6", 30, 1): "682c90a9fa4c9941d21351d2b99d3c0833aadd37ee71a30d37625947ad9f2c36",
+    ("rem4_6", 30, 3): "4dc79e40510f1a665a66c8461f7acec4a21ce116ef4168a0da1410d2227cdf60",
+}
+
+
+def test_enumeration_digests():
+    for (fid, grid, modulus), digest in WITNESS_SHA256.items():
+        _, form = _form(fid)
+        rep = enumerate_S(form, grid=grid, modulus=modulus, x_max=None)
+        text = json.dumps(sorted(rep.witnesses.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (fid, grid, modulus)
+    assert {fid for fid, _, _ in WITNESS_SHA256} == set(FAMILY_IDS)
 
 
 def test_single_cell_grid():
