@@ -278,9 +278,8 @@ def _displayed(spec: FamilySpec, f: UniPoly, factors, points, method="display", 
     return checked_family(TwistFamily(CubicCurve(f), g, tuple(points), RECIPES[spec.id].rank, prov))
 
 
-def _displayed_g(spec: FamilySpec, factors, method="display", notes="") -> TwistFamily:
-    """The displayed g with the pipeline's points rescaled onto its twist."""
-    pipe = _pipeline(spec)
+def _displayed_g(spec: FamilySpec, pipe: TwistFamily, factors, method="display", notes="") -> TwistFamily:
+    """The displayed g with the pipeline family's points rescaled onto its twist."""
     rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(reduce(mul, factors, ONE)))
     pts = [CurvePoint(p.x, (p.y * rho).sign_normalized()[0]) for p in pipe.points]
     return _displayed(spec, pipe.base.f, factors, pts, method, notes)
@@ -325,8 +324,8 @@ def _display_cor3_3(spec: FamilySpec) -> TwistFamily:
     return _displayed(spec, _f_three_subgroup(b, c), [UniPoly([-b * c]), sextic], (p1, CurvePoint(x2, y2)))
 
 
-def _display_mestre3_4(spec: FamilySpec) -> TwistFamily:
-    return _displayed_g(spec, _mestre_factors(spec.params["a"], spec.params["b"]), notes=_MESTRE_NOTES)
+def _display_mestre3_4(spec: FamilySpec, pipe: TwistFamily) -> TwistFamily:
+    return _displayed_g(spec, pipe, _mestre_factors(spec.params["a"], spec.params["b"]), notes=_MESTRE_NOTES)
 
 
 def _display_thm4_1(spec: FamilySpec) -> TwistFamily:
@@ -358,7 +357,7 @@ def _display_thm4_1(spec: FamilySpec) -> TwistFamily:
     return _displayed(spec, _f_lambda(lam), factors, (p1, p2, p3))
 
 
-def _display_thm4_3(spec: FamilySpec) -> TwistFamily:
+def _display_thm4_3(spec: FamilySpec, pipe: TwistFamily) -> TwistFamily:
     """Display g (the factored degree-11 polynomial) with pipeline-derived points
     rescaled onto the display twist."""
     a, b = spec.params["a"], spec.params["b"]
@@ -379,7 +378,7 @@ def _display_thm4_3(spec: FamilySpec) -> TwistFamily:
             ]
         ),
     ]
-    return _displayed_g(spec, factors, method="display-g+derived-points")
+    return _displayed_g(spec, pipe, factors, method="display-g+derived-points")
 
 
 def _display_thm4_5(spec: FamilySpec) -> TwistFamily:
@@ -399,9 +398,10 @@ def _display_thm4_5(spec: FamilySpec) -> TwistFamily:
     return _displayed(spec, _F_CONGRUENT, factors, (p1, p2, p3))
 
 
-def _display_rem4_6(spec: FamilySpec) -> TwistFamily:
+def _display_rem4_6(spec: FamilySpec, pipe: TwistFamily) -> TwistFamily:
     return _displayed_g(
         spec,
+        pipe,
         [UniPoly([6]), UniPoly([1, 1]), UniPoly([1, -34, 1])],
         notes="degree 3 pins rank exactly 1 by the genus bound; the twist by g(u^8) has rank 3, not 4",
     )
@@ -419,8 +419,9 @@ class Recipe:
     The construction is either the twist `identities` f(h) = k*f*j^2 for the
     parameters, followed by the `conic` making each k(t(u)) a square, or, for
     a family without identities, a `pipeline` of its own.  `display` builds
-    the family from the printed formulas; without it the construction is the
-    source.  Each constraint is (violated(params), what the family requires).
+    the family from the printed formulas; `display_g` puts the construction's
+    points onto the printed g; without either the construction is the source.
+    Each constraint is (violated(params), what the family requires).
     """
 
     defaults: dict[str, Fraction]
@@ -432,6 +433,7 @@ class Recipe:
     method: str = ""
     pipeline: Callable[[FamilySpec], TwistFamily] | None = None
     display: Callable[[FamilySpec], TwistFamily] | None = None
+    display_g: Callable[[FamilySpec, TwistFamily], TwistFamily] | None = None
     quartic_split: bool = False
 
 
@@ -471,7 +473,7 @@ RECIPES: dict[str, Recipe] = {
             (lambda p: 4 * p["a"] ** 3 + 27 * p["b"] ** 2 == 0, "4a^3 + 27b^2 != 0 (nonsingular cubic)"),
         ),
         pipeline=_pipeline_mestre3_4,
-        display=_display_mestre3_4,
+        display_g=_display_mestre3_4,
     ),
     "thm4_1": Recipe(
         defaults={"a": Fraction(1)},
@@ -517,7 +519,7 @@ RECIPES: dict[str, Recipe] = {
         identities=_identities_thm4_3,
         conic=_conic_thm4_3,
         method="isogeny+permutation",
-        display=_display_thm4_3,
+        display_g=_display_thm4_3,
     ),
     "thm4_5": Recipe(
         defaults={},
@@ -528,7 +530,7 @@ RECIPES: dict[str, Recipe] = {
         method="two-permutations",
         display=_display_thm4_5,
     ),
-    "rem4_6": Recipe(defaults={}, degree=3, rank=1, pipeline=_pipeline_rem4_6, display=_display_rem4_6),
+    "rem4_6": Recipe(defaults={}, degree=3, rank=1, pipeline=_pipeline_rem4_6, display_g=_display_rem4_6),
 }
 
 FAMILY_IDS = tuple(RECIPES)
@@ -548,10 +550,19 @@ def _pipeline(spec: FamilySpec) -> TwistFamily:
     return _attach_quartic_factors(fam, t_of_u) if recipe.quartic_split else fam
 
 
+def _build(spec: FamilySpec, pipe: TwistFamily | None = None) -> TwistFamily:
+    """The catalog family, reusing the pipeline family `pipe` if given."""
+    recipe = RECIPES[spec.id]
+    if recipe.display:
+        return recipe.display(spec)
+    pipe = pipe or _pipeline(spec)
+    return recipe.display_g(spec, pipe) if recipe.display_g else pipe
+
+
 def build(spec: FamilySpec) -> TwistFamily:
     """The catalog family: displayed g and points where available."""
     _check_constraints(spec)
-    return (RECIPES[spec.id].display or _pipeline)(spec)
+    return _build(spec)
 
 
 def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
@@ -644,9 +655,9 @@ def crosscheck(spec: FamilySpec) -> CrosscheckReport:
     to a pipeline point up to sign and translation by rational 2-torsion.
     Discrepancies are itemized in the report, never silently passed.
     """
-    cat = build(spec)
-    # without a display route, build already returned the pipeline family
-    pipe = _pipeline(spec) if RECIPES[spec.id].display else cat
+    _check_constraints(spec)
+    pipe = _pipeline(spec)
+    cat = _build(spec, pipe)
     messages: list[str] = []
     quotient = RatFunc(pipe.g) / RatFunc(cat.g)
     k, rho = square_class(quotient)

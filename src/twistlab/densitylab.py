@@ -14,7 +14,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, isqrt
+from operator import mul
 
 from .certify import (
     DEFAULT_PRIME_BUDGET,
@@ -23,7 +25,17 @@ from .certify import (
     mod_p_relation_sieve,
     specialize,
 )
-from .exactmath import ONE, RatFunc, UniPoly, factorize, rat_to_str, square_class, squarefree_part_int
+from .exactmath import (
+    ONE,
+    RatFunc,
+    UniPoly,
+    factorize,
+    primes_up_to,
+    rat_to_str,
+    roots_mod_p,
+    square_class,
+    squarefree_part_int,
+)
 from .twistforge import TwistFamily
 
 
@@ -48,7 +60,7 @@ def _to_int_poly(p: UniPoly) -> list[int]:
     return ints
 
 
-def _eval_homog(coeffs: list[int], a: int, b: int, degree: int) -> int:
+def _eval_homog(coeffs, a: int, b: int, degree: int) -> int:
     """sum_i c_i a^i b^(degree - i) by Horner, exactly over the integers."""
     acc = 0
     bp = 1
@@ -60,16 +72,19 @@ def _eval_homog(coeffs: list[int], a: int, b: int, degree: int) -> int:
 
 @dataclass(frozen=True)
 class HomogForm:
-    """Integer realization of (a, b) -> b^(2k) g(a/b), with optional factor
-    polynomials used to split the factorization work."""
+    """Integer realization of (a, b) -> b^(2k) g(a/b), with the binary forms
+    whose values multiply to F(a, b) times a constant rational square.
+
+    Each factor is c_0..c_d for sum_i c_i a^i b^(d - i), its degree d taken
+    from its length, so c_d may be 0.  They are the integer forms of a
+    recorded factor split of g, with the form b added when deg g is odd, or
+    else F alone.
+    """
 
     g: UniPoly
     k: int
     coeffs: tuple[int, ...]
     factor_coeffs: tuple[tuple[int, ...], ...]
-    sigma_num: tuple[int, ...]
-    sigma_den: tuple[int, ...]
-    sigma_degs: tuple[int, int]
 
     @property
     def degree(self) -> int:
@@ -79,69 +94,45 @@ class HomogForm:
         return sum(abs(c) for c in self.coeffs) * grid ** self.degree
 
     def evaluate(self, a: int, b: int) -> int:
-        return _eval_homog(list(self.coeffs), a, b, self.degree)
+        return _eval_homog(self.coeffs, a, b, self.degree)
 
     def squarefree_value(self, a: int, b: int) -> int | None:
-        """Squarefree part of F(a, b), or None when F(a, b) = 0.
-
-        Uses the recorded factor split when its square-class correction is
-        defined and nonzero at (a, b); otherwise factors F directly.
-        """
-        if self.factor_coeffs:
-            sn = _eval_homog(list(self.sigma_num), a, b, self.sigma_degs[0])
-            sd = _eval_homog(list(self.sigma_den), a, b, self.sigma_degs[1])
-            if sn != 0 and sd != 0:
-                total_deg = 0
-                sign = 1
-                odd_primes: set[int] = set()
-                values = []
-                for fc in self.factor_coeffs:
-                    deg = len(fc) - 1
-                    total_deg += deg
-                    v = _eval_homog(list(fc), a, b, deg)
-                    if v == 0:
-                        return None
-                    values.append(v)
-                if (self.degree - total_deg) % 2 == 1:
-                    values.append(b)
-                for v in values:
-                    if v < 0:
-                        sign = -sign
-                    for p, e in factorize(v).items():
-                        if e & 1:
-                            odd_primes ^= {p}
-                d = sign
-                for p in odd_primes:
-                    d *= p
-                return d
-        v = self.evaluate(a, b)
-        if v == 0:
+        """Squarefree part of F(a, b), or None when F(a, b) = 0, from the
+        factorization of every factor value."""
+        values = [_eval_homog(fc, a, b, len(fc) - 1) for fc in self.factor_coeffs]
+        if 0 in values:
             return None
-        return squarefree_part_int(v)
+        sign = -1 if sum(v < 0 for v in values) % 2 else 1
+        return sign * _squarefree_product(values)
+
+
+def _squarefree_product(values) -> int:
+    """Squarefree part of |product of values|, by factoring each value."""
+    odd_primes: set[int] = set()
+    for v in values:
+        for p, e in factorize(v).items():
+            if e & 1:
+                odd_primes ^= {p}
+    return reduce(mul, odd_primes, 1)
 
 
 def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
-    """Build the integer binary form for g, validating any supplied factor split."""
+    """Build the integer binary form for g.  A supplied factor split is used
+    when the product of its factors is g times a constant rational square;
+    otherwise F itself is the one factor."""
     if g.is_constant():
         raise DensityError("density counting needs a nonconstant g")
     k = (g.degree + 1) // 2
     coeffs = tuple(_to_int_poly(g))
-    factor_coeffs: tuple = ()
-    sigma_num: tuple = (1,)
-    sigma_den: tuple = (1,)
-    sigma_degs = (0, 0)
+    factor_coeffs = (coeffs + (0,) * (2 * k - g.degree),)
     if factor_polys:
         fps = [UniPoly([Fraction(c) for c in fp]) for fp in factor_polys]
-        product = ONE
-        for fp in fps:
-            product = product * fp
-        kk, sigma = square_class(RatFunc(product) / RatFunc(g))
-        if kk == ONE:
+        kk, sigma = square_class(RatFunc(reduce(mul, fps, ONE)) / RatFunc(g))
+        if kk == ONE and sigma.is_constant():
             factor_coeffs = tuple(tuple(_to_int_poly(fp)) for fp in fps if fp != ONE)
-            sigma_num = tuple(_to_int_poly(sigma.num))
-            sigma_den = tuple(_to_int_poly(sigma.den))
-            sigma_degs = (sigma.num.degree, sigma.den.degree)
-    return HomogForm(g, k, coeffs, factor_coeffs, sigma_num, sigma_den, sigma_degs)
+            if g.degree % 2:
+                factor_coeffs += ((1, 0),)  # the form b
+    return HomogForm(g, k, coeffs, factor_coeffs)
 
 
 @dataclass(frozen=True)
@@ -188,6 +179,112 @@ def _default_x_grid(x_max: int | None, cap: int) -> tuple[int, ...]:
     return tuple(xs)
 
 
+# The sieve primes stop at the least B with B^3 above every factor value on
+# the grid, and at this cap.  A value stripped of the primes up to B then
+# leaves a cofactor c < B^3 whose primes all exceed B: c is 1, q, q^2 or q*r,
+# so c is either a square or squarefree, and one isqrt tells which.
+SIEVE_BOUND_CAP = 4096
+
+
+def _sieve_bound(factors, grid: int) -> int:
+    largest = max(sum(abs(c) for c in fc) * grid ** (len(fc) - 1) for fc in factors)
+    bound = 2
+    while bound < SIEVE_BOUND_CAP and bound ** 3 <= largest:
+        bound += 1
+    return bound
+
+
+def _root_table(fc, primes) -> list[tuple[int, list[int], bool]]:
+    """(p, roots of f(x, 1) mod p, whether p divides the leading coefficient)
+    for each prime p that divides some value of the form f."""
+    table = []
+    for p in primes:
+        roots = roots_mod_p(fc, p)
+        lead = fc[-1] % p == 0
+        if roots or lead:
+            table.append((p, roots, lead))
+    return table
+
+
+def _sieve_row(fc, table, b: int, row: list[int], grid: int, square_free: list[int]) -> list[int]:
+    """|f(a, b)| for each a of the row with its primes from the table removed,
+    indexed by a and 0 elsewhere; the sign and the primes of odd exponent are
+    toggled into square_free[a]."""
+    deg = len(fc) - 1
+    row_coeffs = [c * b ** (deg - i) for i, c in enumerate(fc)][::-1]
+    values = [0] * (grid + 1)
+    for a in row:
+        v = 0
+        for c in row_coeffs:
+            v = v * a + c
+        if v < 0:
+            square_free[a] = -square_free[a]
+            v = -v
+        values[a] = v
+    for p, roots, lead in table:
+        if b % p:
+            hits = [a for r in roots for a in range(r * b % p or p, grid + 1, p)]
+        elif lead:
+            hits = row
+        else:
+            continue
+        for a in hits:
+            v = values[a]
+            if not v:  # off the row, or a zero of f
+                continue
+            v //= p
+            odd = True
+            while not v % p:
+                v //= p
+                odd = not odd
+            values[a] = v
+            if odd:
+                s = square_free[a]
+                square_free[a] = s // p if s % p == 0 else s * p
+    return values
+
+
+def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
+    """Yield (a, b, D) for every coprime pair a, b in [1, grid] with
+    a = b = 1 (mod modulus), row by row in b, with D the squarefree part of
+    F(a, b), or None where F(a, b) = 0.
+
+    Each factor f of the form is line-sieved: for p up to the bound B, p
+    divides f(a, b) exactly when a = r*b (mod p) for a root r of f(x, 1) mod
+    p, or, when p | b, when p divides the leading coefficient.  The hits
+    shed their full power of p, and its parity is kept across the factors.
+    The cofactors of a pair are factored after all when one reaches B^3 or
+    two of them share a prime.
+    """
+    factors = form.factor_coeffs
+    bound = _sieve_bound(factors, grid)
+    cube = bound ** 3
+    primes = primes_up_to(bound)
+    tables = [_root_table(fc, primes) for fc in factors]
+    for b in range(1, grid + 1, modulus):
+        row = [a for a in range(1, grid + 1, modulus) if gcd(a, b) == 1]
+        square_free = [0] * (grid + 1)
+        for a in row:
+            square_free[a] = 1
+        cofactors = [_sieve_row(fc, table, b, row, grid, square_free) for fc, table in zip(factors, tables)]
+        for a in row:
+            rough = [values[a] for values in cofactors]
+            if 0 in rough:
+                yield a, b, None
+                continue
+            d = square_free[a]
+            seen = 1
+            for c in rough:
+                if c >= cube or gcd(seen, c) != 1:
+                    d = square_free[a] * _squarefree_product(rough)
+                    break
+                seen *= c
+                root = isqrt(c)
+                if root * root != c:
+                    d *= c
+            yield a, b, d
+
+
 def enumerate_S(
     form: HomogForm,
     grid: int,
@@ -202,19 +299,11 @@ def enumerate_S(
     if grid < 1 or modulus < 1 or (x_max is not None and x_max < 1):
         raise DensityError("grid, modulus, x_max must be positive")
     witnesses: dict[int, tuple[int, int]] = {}
-    for a in range(1, grid + 1):
-        if modulus > 1 and a % modulus != 1 % modulus:
+    for a, b, d in sieved_values(form, grid, modulus):
+        if d is None or (x_max is not None and abs(d) >= x_max):
             continue
-        for b in range(1, grid + 1):
-            if modulus > 1 and b % modulus != 1 % modulus:
-                continue
-            if gcd(a, b) != 1:
-                continue
-            d = form.squarefree_value(a, b)
-            if d is None or (x_max is not None and abs(d) >= x_max):
-                continue
-            if d not in witnesses or (a + b, a) < (witnesses[d][0] + witnesses[d][1], witnesses[d][0]):
-                witnesses[d] = (a, b)
+        if d not in witnesses or (a + b, a) < (witnesses[d][0] + witnesses[d][1], witnesses[d][0]):
+            witnesses[d] = (a, b)
     if x_grid is None:
         x_grid = _default_x_grid(x_max, form.max_abs_bound(grid))
     magnitudes = sorted(abs(d) for d in witnesses)

@@ -560,7 +560,8 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-def _sieve(limit: int) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit, by the sieve of Eratosthenes."""
     flags = bytearray([1]) * (limit + 1)
     flags[:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
@@ -569,7 +570,7 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_SMALL_PRIMES = _sieve(4096)
+_SMALL_PRIMES = primes_up_to(4096)
 _TRIAL_PRIMES = [p for p in _SMALL_PRIMES if p <= 256]
 
 
@@ -715,3 +716,146 @@ def is_squarefree_int(n: int) -> bool:
         return False
     n = abs(n)
     return all(e == 1 for e in factorize(n).values())
+
+
+# ---------------------------------------------------------------------------
+# Roots of integer polynomials modulo a prime
+# ---------------------------------------------------------------------------
+
+# Below this prime, roots are found by trying every residue.
+_BRUTE_FORCE_ROOTS = 64
+
+
+def _mod_poly(coeffs, p: int) -> list[int]:
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _monic_mod(f: list[int], p: int) -> list[int]:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _divmod_mod(f: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the monic m over F_p."""
+    dm = len(m) - 1
+    rem = list(f)
+    quot = [0] * max(len(f) - dm, 0)
+    for i in range(len(f) - 1, dm - 1, -1):
+        c = rem[i] % p
+        if c:
+            quot[i - dm] = c
+            for j in range(dm):
+                rem[i - dm + j] -= c * m[j]
+    return _mod_poly(quot, p), _mod_poly(rem[:dm], p)
+
+
+def _powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base^e modulo the monic m over F_p, by left-to-right squaring."""
+    d = len(m) - 1
+    low = m[:d]
+    base = _divmod_mod(base, m, p)[1]
+
+    def mulmod(f, g):
+        prod = [0] * (len(f) + len(g) - 1)
+        for i, c in enumerate(f):
+            if c:
+                for j, c2 in enumerate(g):
+                    prod[i + j] += c * c2
+        for i in range(len(prod) - 1, d - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(d):
+                    prod[i - d + j] -= c * low[j]
+        return [c % p for c in prod[:d]]
+
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, base)
+    return _mod_poly(out, p)
+
+
+def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    while g:
+        g = _monic_mod(g, p)
+        f, g = g, _divmod_mod(f, g, p)[1]
+    return _monic_mod(f, p)
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the nonzero quadratic residue n modulo the odd prime
+    p, by Tonelli-Shanks with the least quadratic nonresidue."""
+    n %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """The distinct roots in F_p of sum_i coeffs[i] x^i, sorted; every residue
+    when the polynomial vanishes mod p.
+
+    h = gcd(f, x^p - x) is the product of x - r over the roots r.  It is split
+    by gcd(h, (x + delta)^((p-1)/2) - 1) for the shifts delta = 0, 1, 2, ...,
+    which separates two roots as soon as r + delta is a square for one and
+    not the other, and at the latest at delta = -r.  No randomness is used.
+    """
+    f = _mod_poly(coeffs, p)
+    if not f:
+        return list(range(p))
+    if len(f) == 1:
+        return []
+    if p < _BRUTE_FORCE_ROOTS:
+        roots = []
+        for x in range(p):
+            acc = 0
+            for c in reversed(f):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                roots.append(x)
+        return roots
+    f = _monic_mod(f, p)
+    xp = _powmod([0, 1], p, f, p) + [0, 0]
+    xp[1] -= 1
+    stack = [_gcd_mod(f, _mod_poly(xp, p), p)]
+    roots = []
+    while stack:
+        h = stack.pop()
+        if len(h) < 2:
+            continue
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+            continue
+        if len(h) == 3:  # x^2 + b x + c with distinct roots (-b +- sqrt(b^2 - 4c)) / 2
+            root = _sqrt_mod(h[1] * h[1] - 4 * h[0], p)
+            roots += [(-h[1] + root) * (p + 1) // 2 % p, (-h[1] - root) * (p + 1) // 2 % p]
+            continue
+        for delta in range(p):
+            shifted = [delta, 1]
+            if _divmod_mod(h, shifted, p)[1]:
+                s = _powmod(shifted, (p - 1) // 2, h, p)
+                s[0] -= 1
+                d = _gcd_mod(h, _mod_poly(s, p), p)
+            else:
+                d = shifted  # -delta is a root of h
+            if 1 < len(d) < len(h):
+                stack += [d, _divmod_mod(h, d, p)[0]]
+                break
+    return sorted(roots)

@@ -41,7 +41,9 @@ def point_to_json(p: CurvePoint) -> dict:
 
 
 def point_from_json(d) -> CurvePoint:
-    if d.get("infinity"):
+    if "infinity" in d:
+        if d["infinity"] is not True:
+            raise ValueError(f"a point's 'infinity' must be true, not {d['infinity']!r}")
         return CurvePoint(None, None)
     return CurvePoint(ratfunc_from_json(d["x"]), ratfunc_from_json(d["y"]))
 

@@ -291,6 +291,7 @@ def test_each_family_is_checked_once(monkeypatch):
         calls["contains"] = 0
         certify_family(fam)
         assert calls["contains"] == len(fam.points), fid
-    calls["pipeline"] = 0
-    assert crosscheck(FamilySpec.make("thm4_2a")).ok
-    assert calls["pipeline"] == 1
+    for fid in ("thm4_2a", "mestre3_4", "thm4_3", "rem4_6"):
+        calls["pipeline"] = 0
+        assert crosscheck(FamilySpec.make(fid)).ok
+        assert calls["pipeline"] == 1, fid

@@ -144,6 +144,8 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         ({**good, "g": [0.1] + good["g"][1:]}, "'g'"),
         ({**good, "g": "123"}, "'g'"),
         ({**good, "curve": {**good["curve"], "e1": -1}}, "'curve'"),
+        ({**good, "points": [{"infinity": "no"}]}, "'infinity'"),
+        ({**good, "points": [{"infinity": 1}]}, "'infinity'"),
     ):
         dump_json(bad, path=tmp_path / "bad.json")
         assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2, bad

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab.catalog import FAMILY_IDS, FamilySpec, build
+from twistlab import densitylab
+from twistlab.catalog import FAMILY_IDS, FamilySpec, build, build_pipeline
 from twistlab.densitylab import (
     DensityError,
     DensityReport,
@@ -16,6 +17,7 @@ from twistlab.densitylab import (
     enumerate_S,
     fit_exponent,
     homog_form,
+    sieved_values,
     with_fit,
 )
 from twistlab.exactmath import UniPoly, squarefree_part_int
@@ -96,6 +98,48 @@ def test_enumeration_digests():
         text = json.dumps(sorted(rep.witnesses.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (fid, grid, modulus)
     assert {fid for fid, _, _ in WITNESS_SHA256} == set(FAMILY_IDS)
+
+
+def _sieve_against_oracle(form, grid):
+    """Check every sieved D against squarefree_part_int(F(a, b)); count the zeros."""
+    seen = set()
+    zeros = 0
+    for a, b, d in sieved_values(form, grid):
+        value = form.evaluate(a, b)
+        if value == 0:
+            assert d is None, (a, b)
+            zeros += 1
+        else:
+            assert d == squarefree_part_int(value), (a, b)
+        seen.add((a, b))
+    assert seen == {(a, b) for a in range(1, grid + 1) for b in range(1, grid + 1) if math.gcd(a, b) == 1}
+    return zeros
+
+
+def test_sieve_matches_factorization_oracle(monkeypatch):
+    factored = []
+    product = densitylab._squarefree_product
+    monkeypatch.setattr(densitylab, "_squarefree_product", lambda values: factored.append(values) or product(values))
+    zeros = 0
+    for fid in FAMILY_IDS:
+        for route in (build, build_pipeline):
+            fam = route(FamilySpec.make(fid))
+            factored.clear()
+            zeros += _sieve_against_oracle(homog_form(fam.g, fam.provenance.get("factor_polys")), 18)
+            if fid == "mestre3_4":  # the degree-12 factor leaves cofactors above B^3 = 4096^3
+                assert factored
+    assert zeros  # thm4_3 has the linear factor a - 2b
+
+
+def test_sieve_factors_cofactors_that_share_a_prime(monkeypatch):
+    # x and x + 101 y: B = 24 at grid 120, and 101 divides both values at a = 101
+    factored = []
+    product = densitylab._squarefree_product
+    monkeypatch.setattr(densitylab, "_squarefree_product", lambda values: factored.append(values) or product(values))
+    form = homog_form(UniPoly([0, 101, 1]), [["0", "1"], ["101", "1"]])
+    assert form.factor_coeffs == ((0, 1), (101, 1))
+    assert _sieve_against_oracle(form, 120) == 0
+    assert factored and all(values[0] % 101 == 0 for values in factored)
 
 
 def test_single_cell_grid():

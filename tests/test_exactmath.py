@@ -20,10 +20,12 @@ from twistlab.exactmath import (
     factorize,
     is_probable_prime,
     is_squarefree_int,
+    primes_up_to,
     rat_from_str,
     rat_to_str,
     ratfunc_sqrt,
     rational_sqrt,
+    roots_mod_p,
     square_class,
     squarefree_decompose,
     squarefree_part_int,
@@ -287,6 +289,31 @@ def test_factorize_large_semiprime():
 def test_primality():
     assert is_probable_prime(2) and is_probable_prime(10 ** 9 + 7)
     assert not is_probable_prime(1) and not is_probable_prime(561)  # Carmichael
+
+
+def test_roots_mod_p_match_brute_force():
+    rng = random.Random(11)
+    primes = primes_up_to(400)
+    assert primes[:5] == [2, 3, 5, 7, 11] and primes[-1] == 397
+    for _ in range(600):
+        p = rng.choice(primes)
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(1, 13))]
+        else:  # a product of linear factors, so that many roots split off
+            coeffs = [rng.choice([1, 2, p])]
+            for _ in range(rng.randint(1, 8)):
+                r = rng.randrange(p)
+                coeffs = [-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))] + [coeffs[-1]]
+        brute = [x for x in range(p) if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0]
+        assert roots_mod_p(coeffs, p) == brute, (coeffs, p)
+
+
+def test_roots_mod_p_edge_cases():
+    assert roots_mod_p([7 * 13, 0, 7], 7) == list(range(7))  # vanishes mod p
+    assert roots_mod_p([5], 101) == [] and roots_mod_p([0], 101) == list(range(101))
+    assert roots_mod_p([1, 0], 3) == []  # trailing zero coefficients are dropped
+    assert roots_mod_p([-2, 0, 1], 4093) == []  # 2 is a nonresidue mod 4093
+    assert roots_mod_p([-2, 0, 1], 4057) == [432, 3625]  # 432^2 = 2 mod 4057
 
 
 def test_ratfunc_sqrt():
