@@ -3,7 +3,8 @@
 Given the twist polynomial g, the binary form F(a, b) = b^(2k) g(a/b) with
 k = floor((deg g + 1)/2) is evaluated over a coprime integer grid; the set S
 collects the squarefree parts D = F(a,b)/v^2, and |S(x)| = #{D in S : |D| < x}
-is fitted against x^(1/k) on a log-log grid.  Optionally every counted D is
+is fitted against x^(1/k) on a log-log grid.  The D come from a line sieve
+over the factor forms of F (`sieved_values`).  Optionally every counted D is
 certified by specializing the family at u0 = a/b and proving its points
 independent by the mod-ell reduction certificate of `certify`.
 """

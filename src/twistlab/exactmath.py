@@ -756,7 +756,6 @@ def _powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     """base^e modulo the monic m over F_p, by left-to-right squaring."""
     d = len(m) - 1
     low = m[:d]
-    base = _divmod_mod(base, m, p)[1]
 
     def mulmod(f, g):
         prod = [0] * (len(f) + len(g) - 1)

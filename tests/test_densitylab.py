@@ -116,10 +116,16 @@ def _sieve_against_oracle(form, grid):
     return zeros
 
 
-def test_sieve_matches_factorization_oracle(monkeypatch):
+def _record_factored(monkeypatch):
+    """The cofactor lists that the sieve hands to factorize, as it runs."""
     factored = []
     product = densitylab._squarefree_product
     monkeypatch.setattr(densitylab, "_squarefree_product", lambda values: factored.append(values) or product(values))
+    return factored
+
+
+def test_sieve_matches_factorization_oracle(monkeypatch):
+    factored = _record_factored(monkeypatch)
     zeros = 0
     for fid in FAMILY_IDS:
         for route in (build, build_pipeline):
@@ -133,9 +139,7 @@ def test_sieve_matches_factorization_oracle(monkeypatch):
 
 def test_sieve_factors_cofactors_that_share_a_prime(monkeypatch):
     # x and x + 101 y: B = 24 at grid 120, and 101 divides both values at a = 101
-    factored = []
-    product = densitylab._squarefree_product
-    monkeypatch.setattr(densitylab, "_squarefree_product", lambda values: factored.append(values) or product(values))
+    factored = _record_factored(monkeypatch)
     form = homog_form(UniPoly([0, 101, 1]), [["0", "1"], ["101", "1"]])
     assert form.factor_coeffs == ((0, 1), (101, 1))
     assert _sieve_against_oracle(form, 120) == 0
