@@ -722,7 +722,8 @@ def is_squarefree_int(n: int) -> bool:
 # Roots of integer polynomials modulo a prime
 # ---------------------------------------------------------------------------
 
-# Below this prime, roots are found by trying every residue.
+# Below this prime, roots are found by trying every residue: the split by
+# (x + delta)^((p-1)/2) needs an odd p, and trial costs no more for small p.
 _BRUTE_FORCE_ROOTS = 64
 
 
