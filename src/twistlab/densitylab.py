@@ -30,8 +30,8 @@ from .exactmath import (
     ONE,
     RatFunc,
     UniPoly,
+    _SMALL_PRIMES,
     factorize,
-    primes_up_to,
     rat_to_str,
     roots_mod_p,
     square_class,
@@ -183,7 +183,8 @@ def _default_x_grid(x_max: int | None, cap: int) -> tuple[int, ...]:
 # The sieve primes stop at the least B with B^3 above every factor value on
 # the grid, and at this cap.  A value stripped of the primes up to B then
 # leaves a cofactor c < B^3 whose primes all exceed B: c is 1, q, q^2 or q*r,
-# so c is either a square or squarefree, and one isqrt tells which.
+# so c is either a square or squarefree, and one isqrt tells which.  The
+# sieve primes are taken from exactmath._SMALL_PRIMES, which stops at 4096 too.
 SIEVE_BOUND_CAP = 4096
 
 
@@ -260,7 +261,7 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
     factors = form.factor_coeffs
     bound = _sieve_bound(factors, grid)
     cube = bound ** 3
-    primes = primes_up_to(bound)
+    primes = [p for p in _SMALL_PRIMES if p <= bound]
     tables = [_root_table(fc, primes) for fc in factors]
     for b in range(1, grid + 1, modulus):
         row = [a for a in range(1, grid + 1, modulus) if gcd(a, b) == 1]

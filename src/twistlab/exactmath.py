@@ -560,8 +560,7 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """The primes p <= limit, by the sieve of Eratosthenes."""
+def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
     flags[:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
@@ -570,7 +569,7 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_SMALL_PRIMES = primes_up_to(4096)
+_SMALL_PRIMES = _sieve(4096)
 _TRIAL_PRIMES = [p for p in _SMALL_PRIMES if p <= 256]
 
 
@@ -722,11 +721,6 @@ def is_squarefree_int(n: int) -> bool:
 # Roots of integer polynomials modulo a prime
 # ---------------------------------------------------------------------------
 
-# Below this prime, roots are found by trying every residue: the split by
-# (x + delta)^((p-1)/2) needs an odd p, and trial costs no more for small p.
-_BRUTE_FORCE_ROOTS = 64
-
-
 def _mod_poly(coeffs, p: int) -> list[int]:
     out = [c % p for c in coeffs]
     while out and out[-1] == 0:
@@ -786,28 +780,6 @@ def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
     return _monic_mod(f, p)
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """A square root of the nonzero quadratic residue n modulo the odd prime
-    p, by Tonelli-Shanks with the least quadratic nonresidue."""
-    n %= p
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """The distinct roots in F_p of sum_i coeffs[i] x^i, sorted; every residue
     when the polynomial vanishes mod p.
@@ -815,39 +787,31 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     h = gcd(f, x^p - x) is the product of x - r over the roots r.  It is split
     by gcd(h, (x + delta)^((p-1)/2) - 1) for the shifts delta = 0, 1, 2, ...,
     which separates two roots as soon as r + delta is a square for one and
-    not the other, and at the latest at delta = -r.  No randomness is used.
+    not the other, and at the latest at delta = -r.  The two parts of a split
+    at delta go on from delta + 1: no shift up to delta separates their roots,
+    and none of those roots is -delta or below.  No randomness is used; p = 2
+    is done by trial.
     """
     f = _mod_poly(coeffs, p)
     if not f:
         return list(range(p))
     if len(f) == 1:
         return []
-    if p < _BRUTE_FORCE_ROOTS:
-        roots = []
-        for x in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                roots.append(x)
-        return roots
+    if p == 2:  # the split below needs an odd p
+        return [x for x in (0, 1) if sum(c * x ** i for i, c in enumerate(f)) % 2 == 0]
     f = _monic_mod(f, p)
     xp = _powmod([0, 1], p, f, p) + [0, 0]
     xp[1] -= 1
-    stack = [_gcd_mod(f, _mod_poly(xp, p), p)]
+    stack = [(_gcd_mod(f, _mod_poly(xp, p), p), 0)]
     roots = []
     while stack:
-        h = stack.pop()
+        h, start = stack.pop()
         if len(h) < 2:
             continue
         if len(h) == 2:
             roots.append(-h[0] % p)
             continue
-        if len(h) == 3:  # x^2 + b x + c with distinct roots (-b +- sqrt(b^2 - 4c)) / 2
-            root = _sqrt_mod(h[1] * h[1] - 4 * h[0], p)
-            roots += [(-h[1] + root) * (p + 1) // 2 % p, (-h[1] - root) * (p + 1) // 2 % p]
-            continue
-        for delta in range(p):
+        for delta in range(start, p):
             shifted = [delta, 1]
             if _divmod_mod(h, shifted, p)[1]:
                 s = _powmod(shifted, (p - 1) // 2, h, p)
@@ -856,6 +820,6 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
             else:
                 d = shifted  # -delta is a root of h
             if 1 < len(d) < len(h):
-                stack += [d, _divmod_mod(h, d, p)[0]]
+                stack += [(d, delta + 1), (_divmod_mod(h, d, p)[0], delta + 1)]
                 break
     return sorted(roots)
