@@ -12,7 +12,7 @@ independent by the mod-ell reduction certificate of `certify`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -33,10 +33,10 @@ from .exactmath import (
     _SMALL_PRIMES,
     factorize,
     rat_to_str,
-    roots_mod_p,
     square_class,
     squarefree_part_int,
 )
+from .jsonio import poly_from_json
 from .twistforge import TwistFamily
 
 
@@ -45,20 +45,12 @@ class DensityError(ValueError):
 
 
 def _to_int_poly(p: UniPoly) -> list[int]:
-    """Scale by the square of the denominator lcm and drop square content,
-    preserving value square classes while making every coefficient integral."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [c.numerator * (den_lcm * den_lcm // c.denominator) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content:
-        square_part = content // abs(squarefree_part_int(content))
-        if square_part > 1:
-            ints = [v // square_part for v in ints]
-    return ints
+    """The coefficients of p times the rational square that makes them
+    integers with squarefree content, so that values keep their square
+    classes."""
+    c, prim = p.content_and_primitive()
+    s = squarefree_part_int(c.numerator * c.denominator)
+    return [s * int(v) for v in prim.coeffs]
 
 
 def _eval_homog(coeffs, a: int, b: int, degree: int) -> int:
@@ -82,7 +74,6 @@ class HomogForm:
     else F alone.
     """
 
-    g: UniPoly
     k: int
     coeffs: tuple[int, ...]
     factor_coeffs: tuple[tuple[int, ...], ...]
@@ -118,22 +109,28 @@ def _squarefree_product(values) -> int:
 
 
 def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
-    """Build the integer binary form for g.  A supplied factor split is used
-    when the product of its factors is g times a constant rational square;
-    otherwise F itself is the one factor."""
+    """Build the integer binary form for g.  A supplied factor split, given
+    as in a family's provenance by coefficient strings, is used when the
+    product of its factors is g times a constant rational square; otherwise F
+    itself is the one factor.  A malformed split raises ValueError."""
     if g.is_constant():
         raise DensityError("density counting needs a nonconstant g")
     k = (g.degree + 1) // 2
     coeffs = tuple(_to_int_poly(g))
     factor_coeffs = (coeffs + (0,) * (2 * k - g.degree),)
     if factor_polys:
-        fps = [UniPoly([Fraction(c) for c in fp]) for fp in factor_polys]
+        try:
+            fps = [poly_from_json(fp) for fp in factor_polys]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"provenance field 'factor_polys' is malformed: {exc}") from None
+        if not all(fps):
+            raise ValueError("provenance field 'factor_polys' has a zero factor")
         kk, sigma = square_class(RatFunc(reduce(mul, fps, ONE)) / RatFunc(g))
         if kk == ONE and sigma.is_constant():
             factor_coeffs = tuple(tuple(_to_int_poly(fp)) for fp in fps if fp != ONE)
             if g.degree % 2:
                 factor_coeffs += ((1, 0),)  # the form b
-    return HomogForm(g, k, coeffs, factor_coeffs)
+    return HomogForm(k, coeffs, factor_coeffs)
 
 
 @dataclass(frozen=True)
@@ -198,13 +195,22 @@ def _sieve_bound(factors, grid: int) -> int:
 
 def _root_table(fc, primes) -> list[tuple[int, list[int], bool]]:
     """(p, roots of f(x, 1) mod p, whether p divides the leading coefficient)
-    for each prime p that divides some value of the form f."""
+    for each prime p that divides some value of the form f.
+
+    Each residue mod p has one representative x in [0, p), so f(x, 1) is
+    evaluated once for each x below the largest prime, and x is a root mod
+    each prime above x that divides the value."""
+    roots = {p: [] for p in primes}
+    for x in range(primes[-1]):
+        v = _eval_homog(fc, x, 1, len(fc) - 1)
+        for p in primes[bisect_right(primes, x):]:
+            if v % p == 0:
+                roots[p].append(x)
     table = []
     for p in primes:
-        roots = roots_mod_p(fc, p)
         lead = fc[-1] % p == 0
-        if roots or lead:
-            table.append((p, roots, lead))
+        if roots[p] or lead:
+            table.append((p, roots[p], lead))
     return table
 
 

@@ -587,16 +587,17 @@ def _prime_chunks() -> list[tuple[list[int], int]]:
 
 _PRIME_CHUNKS = _prime_chunks()
 
-# Deterministic Miller-Rabin witnesses: the first twelve primes decide
-# primality for everything below 3.317e24; the extended set is used above
-# that as a safety margin for oversized inputs.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# Deterministic Miller-Rabin witnesses: the first thirteen primes decide
+# primality for everything below psi_13 = 3.317e24 (the first twelve only
+# below psi_12 = 3.187e23; Sorenson and Webster, Math. Comp. 86, 2017); the
+# extended set is used above that as a safety margin for oversized inputs.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 3.317e24."""
+    """Miller-Rabin primality test, deterministic below 3.317e24 (13 bases)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:20]:
@@ -715,111 +716,3 @@ def is_squarefree_int(n: int) -> bool:
         return False
     n = abs(n)
     return all(e == 1 for e in factorize(n).values())
-
-
-# ---------------------------------------------------------------------------
-# Roots of integer polynomials modulo a prime
-# ---------------------------------------------------------------------------
-
-def _mod_poly(coeffs, p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _monic_mod(f: list[int], p: int) -> list[int]:
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _divmod_mod(f: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the monic m over F_p."""
-    dm = len(m) - 1
-    rem = list(f)
-    quot = [0] * max(len(f) - dm, 0)
-    for i in range(len(f) - 1, dm - 1, -1):
-        c = rem[i] % p
-        if c:
-            quot[i - dm] = c
-            for j in range(dm):
-                rem[i - dm + j] -= c * m[j]
-    return _mod_poly(quot, p), _mod_poly(rem[:dm], p)
-
-
-def _powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """base^e modulo the monic m over F_p, by left-to-right squaring."""
-    d = len(m) - 1
-    low = m[:d]
-
-    def mulmod(f, g):
-        prod = [0] * (len(f) + len(g) - 1)
-        for i, c in enumerate(f):
-            if c:
-                for j, c2 in enumerate(g):
-                    prod[i + j] += c * c2
-        for i in range(len(prod) - 1, d - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(d):
-                    prod[i - d + j] -= c * low[j]
-        return [c % p for c in prod[:d]]
-
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = mulmod(out, out)
-        if bit == "1":
-            out = mulmod(out, base)
-    return _mod_poly(out, p)
-
-
-def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        g = _monic_mod(g, p)
-        f, g = g, _divmod_mod(f, g, p)[1]
-    return _monic_mod(f, p)
-
-
-def roots_mod_p(coeffs, p: int) -> list[int]:
-    """The distinct roots in F_p of sum_i coeffs[i] x^i, sorted; every residue
-    when the polynomial vanishes mod p.
-
-    h = gcd(f, x^p - x) is the product of x - r over the roots r.  It is split
-    by gcd(h, (x + delta)^((p-1)/2) - 1) for the shifts delta = 0, 1, 2, ...,
-    which separates two roots as soon as r + delta is a square for one and
-    not the other, and at the latest at delta = -r.  The two parts of a split
-    at delta go on from delta + 1: no shift up to delta separates their roots,
-    and none of those roots is -delta or below.  No randomness is used; p = 2
-    is done by trial.
-    """
-    f = _mod_poly(coeffs, p)
-    if not f:
-        return list(range(p))
-    if len(f) == 1:
-        return []
-    if p == 2:  # the split below needs an odd p
-        return [x for x in (0, 1) if sum(c * x ** i for i, c in enumerate(f)) % 2 == 0]
-    f = _monic_mod(f, p)
-    xp = _powmod([0, 1], p, f, p) + [0, 0]
-    xp[1] -= 1
-    stack = [(_gcd_mod(f, _mod_poly(xp, p), p), 0)]
-    roots = []
-    while stack:
-        h, start = stack.pop()
-        if len(h) < 2:
-            continue
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-            continue
-        for delta in range(start, p):
-            shifted = [delta, 1]
-            if _divmod_mod(h, shifted, p)[1]:
-                s = _powmod(shifted, (p - 1) // 2, h, p)
-                s[0] -= 1
-                d = _gcd_mod(h, _mod_poly(s, p), p)
-            else:
-                d = shifted  # -delta is a root of h
-            if 1 < len(d) < len(h):
-                stack += [(d, delta + 1), (_divmod_mod(h, d, p)[0], delta + 1)]
-                break
-    return sorted(roots)

@@ -151,6 +151,11 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2, bad
         _, err = _capture(capsys)
         assert field in err
+    for factor_polys in (5, [["1/0"]], [[0.1, 1]], [["1"], []]):
+        dump_json({**good, "provenance": {**good["provenance"], "factor_polys": factor_polys}}, path=tmp_path / "bad.json")
+        assert run(["density", "--family", str(tmp_path / "bad.json"), "--grid", "5"]) == 2, factor_polys
+        _, err = _capture(capsys)
+        assert "'factor_polys'" in err
     density = ["density", "--family", str(path), "--grid", "2"]
     for argv in (
         ["density", "--family", str(path), "--grid", "0"],

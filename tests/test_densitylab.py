@@ -20,7 +20,7 @@ from twistlab.densitylab import (
     sieved_values,
     with_fit,
 )
-from twistlab.exactmath import UniPoly, squarefree_part_int
+from twistlab.exactmath import UniPoly, is_probable_prime, squarefree_part_int
 
 
 def _form(fid):
@@ -64,6 +64,47 @@ def test_factored_path_matches_direct_factorization():
             else:
                 assert got == squarefree_part_int(direct)
 
+
+
+def _brute_root_table(fc, primes):
+    table = []
+    for p in primes:
+        roots = [x for x in range(p) if sum(c * x ** i for i, c in enumerate(fc)) % p == 0]
+        if roots or fc[-1] % p == 0:
+            table.append((p, roots, fc[-1] % p == 0))
+    return table
+
+
+def test_root_table_matches_brute_force():
+    rng = random.Random(11)
+    companions = random.Random(12)  # the smaller sieve primes of each case
+    primes = [p for p in range(2, 400) if is_probable_prime(p)]
+    for _ in range(600):
+        p = rng.choice(primes)
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(1, 13))]
+        else:  # a product of linear factors, so that many roots split off
+            coeffs = [rng.choice([1, 2, p])]
+            for _ in range(rng.randint(1, 8)):
+                r = rng.randrange(p)
+                coeffs = [-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))] + [coeffs[-1]]
+        smaller = primes[: primes.index(p)]
+        sieve_primes = sorted(companions.sample(smaller, min(3, len(smaller)))) + [p]
+        assert densitylab._root_table(coeffs, sieve_primes) == _brute_root_table(coeffs, sieve_primes), (coeffs, sieve_primes)
+
+
+def test_root_table_edge_cases():
+    table = densitylab._root_table
+    assert table([7 * 13, 0, 7], [7]) == [(7, list(range(7)), True)]  # vanishes mod p
+    assert table([5], [101]) == [] and table([0], [101]) == [(101, list(range(101)), True)]
+    assert table([1, 0], [3]) == [(3, [], True)]  # the form b: a zero leading coefficient
+    assert table([-2, 0, 1], [4093]) == []  # 2 is a nonresidue mod 4093
+    assert table([-2, 0, 1], [4057]) == [(4057, [432, 3625], False)]  # 432^2 = 2 mod 4057
+    assert table([0, 1, 1], [2]) == [(2, [0, 1], False)] and table([1, 1, 1], [2]) == []
+    # 6 x^2 + 1: 2 and 3 divide the leading coefficient and no value
+    assert table([1, 0, 6], [2, 3, 5, 7]) == [(2, [], True), (3, [], True), (5, [2, 3], False), (7, [1, 6], False)]
+    # the integer root 3 of x - 3 is a root mod every prime above it
+    assert table([-3, 1], [2, 3, 5, 7]) == [(2, [1], False), (3, [0], False), (5, [3], False), (7, [3], False)]
 
 # sha256 of the sorted (D, witness) list from enumerate_S with x_max=None,
 # keyed by (family, grid, modulus); the nine defaults run at grid 30

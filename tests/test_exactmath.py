@@ -24,7 +24,6 @@ from twistlab.exactmath import (
     rat_to_str,
     ratfunc_sqrt,
     rational_sqrt,
-    roots_mod_p,
     square_class,
     squarefree_decompose,
     squarefree_part_int,
@@ -290,28 +289,11 @@ def test_primality():
     assert not is_probable_prime(1) and not is_probable_prime(561)  # Carmichael
 
 
-def test_roots_mod_p_match_brute_force():
-    rng = random.Random(11)
-    primes = [p for p in range(2, 400) if is_probable_prime(p)]
-    for _ in range(600):
-        p = rng.choice(primes)
-        if rng.random() < 0.5:
-            coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(1, 13))]
-        else:  # a product of linear factors, so that many roots split off
-            coeffs = [rng.choice([1, 2, p])]
-            for _ in range(rng.randint(1, 8)):
-                r = rng.randrange(p)
-                coeffs = [-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))] + [coeffs[-1]]
-        brute = [x for x in range(p) if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0]
-        assert roots_mod_p(coeffs, p) == brute, (coeffs, p)
-
-
-def test_roots_mod_p_edge_cases():
-    assert roots_mod_p([7 * 13, 0, 7], 7) == list(range(7))  # vanishes mod p
-    assert roots_mod_p([5], 101) == [] and roots_mod_p([0], 101) == list(range(101))
-    assert roots_mod_p([1, 0], 3) == []  # trailing zero coefficients are dropped
-    assert roots_mod_p([-2, 0, 1], 4093) == []  # 2 is a nonresidue mod 4093
-    assert roots_mod_p([-2, 0, 1], 4057) == [432, 3625]  # 432^2 = 2 mod 4057
+def test_miller_rabin_psi12():
+    # psi_12, the least strong pseudoprime to the first twelve prime bases
+    psi12 = 318665857834031151167461
+    assert not is_probable_prime(psi12)
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_ratfunc_sqrt():
