@@ -7,7 +7,7 @@ first principles, and the builder for the displayed g and points.
 `build` returns the display-backed family; `build_pipeline` re-runs the
 construction; `twist_identities` returns the identities it starts from;
 `crosscheck` compares the two routes up to rational-function squares and
-2-torsion translation.
+the sign of each point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .exactmath import (
     square_class,
 )
 from .twistforge import (
-    ConicParam,
     ConicPoint,
     ForgeError,
     Mobius,
@@ -188,27 +187,27 @@ def _identities_thm4_3(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
 # and so the golden files.
 
 
-def _conic_through(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicParam:
+def _conic_through(k1: UniPoly, k2: UniPoly, t0: Fraction) -> RatFunc:
     return conic_param_double(k1, k2, conic_point_for(k1, k2, t0))
 
 
-def _conic_thm4_1(p: dict, tids) -> ConicParam:
+def _conic_thm4_1(p: dict, tids) -> RatFunc:
     lam = -2 * p["a"] ** 2
     r0 = p["a"] * (lam - 1)
     return conic_param_double(_k_linear_01(lam), _k_linear_0l(lam), ConicPoint((lam + 1) / 2, r0, r0))
 
 
-def _conic_thm4_2a(p: dict, tids) -> ConicParam:
+def _conic_thm4_2a(p: dict, tids) -> RatFunc:
     lam = _lambda_2a(p)
     return _conic_through(_k_linear_0l(lam), _k_linear_cycle(lam), 2 * lam / (lam + 1))
 
 
-def _conic_thm4_2b(p: dict, tids) -> ConicParam:
+def _conic_thm4_2b(p: dict, tids) -> RatFunc:
     lam = _lambda_2b(p)
     return _conic_through(_k_linear_cycle(lam), _k_linear_1l(lam), 1 / lam)
 
 
-def _conic_thm4_3(p: dict, tids) -> ConicParam:
+def _conic_thm4_3(p: dict, tids) -> RatFunc:
     a, b = p["a"], p["b"]
     k1p = UniPoly([-a * (a + 1) * b, a * a - 3 * a + 4]) * ((a - 1) * a * b)
     k2p = UniPoly([-a * a * b, a * a + 1]) * b
@@ -429,7 +428,7 @@ class Recipe:
     rank: int
     constraints: tuple[tuple[Callable[[dict], bool], str], ...] = ()
     identities: Callable[[dict], tuple[UniPoly, list[TwistIdentity]]] | None = None
-    conic: Callable[[dict, list[TwistIdentity]], ConicParam] | None = None
+    conic: Callable[[dict, list[TwistIdentity]], RatFunc] | None = None
     method: str = ""
     pipeline: Callable[[FamilySpec], TwistFamily] | None = None
     display: Callable[[FamilySpec], TwistFamily] | None = None
@@ -544,7 +543,7 @@ def _pipeline(spec: FamilySpec) -> TwistFamily:
     if recipe.pipeline is not None:
         return recipe.pipeline(spec)
     f, tids = recipe.identities(spec.params)
-    t_of_u = recipe.conic(spec.params, tids).t_of_u
+    t_of_u = recipe.conic(spec.params, tids)
     assemble = assemble_rank2 if len(tids) == 1 else assemble_rank3
     fam = assemble(f, *tids, t_of_u, _provenance(spec, recipe.method, t_of_u, []))
     return _attach_quartic_factors(fam, t_of_u) if recipe.quartic_split else fam
@@ -651,8 +650,8 @@ class CrosscheckReport:
 def crosscheck(spec: FamilySpec) -> CrosscheckReport:
     """Compare the display-backed family against the pipeline-derived one.
 
-    g must agree up to rational-function squares; every catalog point must map
-    to a pipeline point up to sign and translation by rational 2-torsion.
+    g must agree up to rational-function squares; every catalog point must
+    share its x with a pipeline point rescaled onto the catalog twist.
     Discrepancies are itemized in the report, never silently passed.
     """
     _check_constraints(spec)
@@ -667,24 +666,13 @@ def crosscheck(spec: FamilySpec) -> CrosscheckReport:
         rho = None
     point_matches = []
     if rho is not None:
-        curve = cat.curve()
         rescaled = [CurvePoint(p.x, p.y * rho) for p in pipe.points]
-        torsion = curve.rational_two_torsion()
         for i, cp in enumerate(cat.points, start=1):
             found = None
             for rp in rescaled:
                 if rp.x == cp.x:
                     found = "exact" if rp.y == cp.y else "negation"
                     break
-            if found is None:
-                for rp in rescaled:
-                    for tor in torsion:
-                        shifted = curve.add(rp, tor)
-                        if not shifted.is_infinity and shifted.x == cp.x:
-                            found = "two-torsion-translate"
-                            break
-                    if found:
-                        break
             point_matches.append({"point": i, "matched": found is not None, "via": found or "none"})
             if found is None:
                 messages.append(f"catalog point {i} not matched by any pipeline point")

@@ -27,8 +27,10 @@ def _parse_params(text: str | None) -> dict:
                 continue
             if "=" not in piece:
                 raise ValueError(f"bad parameter assignment {piece!r} (want name=value)")
-            name, value = piece.split("=", 1)
-            out[name.strip()] = rat_from_str(value.strip())
+            name, value = (s.strip() for s in piece.split("=", 1))
+            if name in out:
+                raise ValueError(f"parameter {name!r} given twice")
+            out[name] = rat_from_str(value)
     return out
 
 

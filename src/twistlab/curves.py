@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactmath import (
-    ExactMathError,
-    RatFunc,
-    UniPoly,
-    compose,
-    discriminant_cubic,
-    factorize,
-    is_squarefree_int,
-)
+from .exactmath import RatFunc, UniPoly, compose, discriminant_cubic, is_squarefree_int
 
 FieldElem = Union[Fraction, RatFunc]
 
@@ -45,22 +37,6 @@ class CubicCurve:
             raise CurveError("curve cubic must be monic of degree 3")
         if discriminant_cubic(self.f) == 0:
             raise CurveError("singular cubic: repeated root (discriminant is zero)")
-
-    @property
-    def e2(self) -> Fraction:
-        return self.f.coeff(2)
-
-    @property
-    def e1(self) -> Fraction:
-        return self.f.coeff(1)
-
-    @property
-    def e0(self) -> Fraction:
-        return self.f.coeff(0)
-
-    def rational_two_torsion_x(self) -> list[Fraction]:
-        """x-coordinates of the rational points of order 2 (rational roots of f)."""
-        return rational_roots(self.f)
 
     def __repr__(self):
         return f"CubicCurve(y^2 = {self.f.to_str('x')})"
@@ -148,7 +124,7 @@ class TwistedCurve:
             slope = self.base.f.derivative()(p.x) / (2 * self.d * p.y)
         else:
             slope = (q.y - p.y) / (q.x - p.x)
-        x3 = self.d * slope * slope - self.base.e2 - p.x - q.x
+        x3 = self.d * slope * slope - self.base.f.coeff(2) - p.x - q.x
         y3 = -(p.y + slope * (x3 - p.x))
         return CurvePoint(x3, y3)
 
@@ -164,15 +140,6 @@ class TwistedCurve:
             addend = self.add(addend, addend)
             n >>= 1
         return acc
-
-    def rational_two_torsion(self) -> list[CurvePoint]:
-        """The finite rational 2-torsion points (r, 0) of the twist."""
-        zero: FieldElem = RatFunc(0) if isinstance(self.d, RatFunc) else Fraction(0)
-        pts = []
-        for r in self.base.rational_two_torsion_x():
-            x: FieldElem = RatFunc(UniPoly([r])) if isinstance(self.d, RatFunc) else r
-            pts.append(CurvePoint(x, zero))
-        return pts
 
     def __repr__(self):
         ds = self.d.to_str("u") if isinstance(self.d, RatFunc) else str(self.d)
@@ -246,40 +213,3 @@ def three_isogeny(b: Fraction, c: Fraction) -> Isogeny:
     phi_x = RatFunc(UniPoly([4 * a6s, 2 * a4s, -b * b / c, 1]), UniPoly([0, 0, 9]))
     phi_y = RatFunc(UniPoly([-8 * a6s, -2 * a4s, 0, 1]), UniPoly([0, 0, 0, 27]))
     return Isogeny(source=source, target=target, phi_x=phi_x, phi_y=phi_y, degree=3)
-
-
-# ---------------------------------------------------------------------------
-# Rational roots (for 2-torsion bookkeeping)
-# ---------------------------------------------------------------------------
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return divs
-
-
-def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots of f, via the rational root theorem on its primitive part."""
-    if f.is_zero():
-        raise ExactMathError("zero polynomial has every root")
-    roots = []
-    g = f
-    x_mult = 0
-    while g.coeff(0) == 0 and g.degree > 0:
-        g = UniPoly(g.coeffs[1:])
-        x_mult += 1
-    if x_mult:
-        roots.append(Fraction(0))
-    if g.degree <= 0:
-        return roots
-    _, prim = g.content_and_primitive()
-    p0 = abs(prim.coeff(0).numerator)
-    pl = abs(prim.leading().numerator)
-    for num in _divisors(p0):
-        for den in _divisors(pl):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if g(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)

@@ -299,7 +299,6 @@ def enumerate_S(
     modulus: int = 1,
     x_max: int | None = 10 ** 6,
     family: str = "",
-    x_grid: tuple[int, ...] | None = None,
 ) -> DensityReport:
     """Collect squarefree parts over the coprime grid a, b in [1, grid] with
     a = b = 1 (mod modulus), deduplicated with the lexicographically smallest
@@ -312,15 +311,14 @@ def enumerate_S(
             continue
         if d not in witnesses or (a + b, a) < (witnesses[d][0] + witnesses[d][1], witnesses[d][0]):
             witnesses[d] = (a, b)
-    if x_grid is None:
-        x_grid = _default_x_grid(x_max, form.max_abs_bound(grid))
+    x_grid = _default_x_grid(x_max, form.max_abs_bound(grid))
     magnitudes = sorted(abs(d) for d in witnesses)
     counts = tuple(bisect_left(magnitudes, x) for x in x_grid)
     return DensityReport(
         family=family,
         grid=grid,
         modulus=modulus,
-        x_grid=tuple(x_grid),
+        x_grid=x_grid,
         counts=counts,
         witnesses=witnesses,
     )

@@ -687,7 +687,9 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        # m has no prime factor <= 4096 (a cofactor that skipped the chunk
+        # gcds is below 257^2 and prime already), so m < 4097^2 is prime
+        if m < 4097 * 4097 or is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         root = isqrt(m)

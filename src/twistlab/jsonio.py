@@ -62,7 +62,15 @@ def family_to_json(fam: TwistFamily) -> dict:
 def _rank_from_json(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"a rank must be an integer, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"a rank must be nonnegative, not {n}")
     return n
+
+
+def _object(d) -> dict:
+    if not isinstance(d, dict):
+        raise TypeError(f"must be an object, not {type(d).__name__}")
+    return dict(d)
 
 
 def _field(d: dict, key: str, decode):
@@ -90,7 +98,7 @@ def family_from_json(d) -> TwistFamily:
         g=_field(d, "g", poly_from_json),
         points=_field(d, "points", lambda pts: tuple(point_from_json(p) for p in pts)),
         claimed_rank=_field(d, "claimed_rank", _rank_from_json),
-        provenance=_field(d, "provenance", dict) if "provenance" in d else {},
+        provenance=_field(d, "provenance", _object) if "provenance" in d else {},
     )
 
 

@@ -21,7 +21,6 @@ from .exactmath import (
     RatFunc,
     UniPoly,
     compose,
-    rat_to_str,
     ratfunc_sqrt,
     rational_sqrt,
     square_class,
@@ -122,7 +121,6 @@ class TwistIdentity:
     h: RatFunc
     k: UniPoly
     j: RatFunc
-    origin: str = ""
 
     def __post_init__(self):
         if not self.k.is_squarefree():
@@ -156,7 +154,7 @@ def twist_from_permutation(f: UniPoly, h: Mobius) -> TwistIdentity:
     k, j = square_class(compose(f, hr) / RatFunc(f))
     if k.degree != 1:
         raise ForgeError("expected a linear square-class factor from a root permutation")
-    return TwistIdentity(f, hr, k, j, origin="root-permutation")
+    return TwistIdentity(f, hr, k, j)
 
 
 def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: Mobius) -> TwistIdentity:
@@ -171,7 +169,7 @@ def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: Mobius) -> TwistIdentity:
     k, j = square_class(compose(f, h) / RatFunc(f))
     if k.degree != 1:
         raise ForgeError("expected a linear square-class factor from the isogeny route")
-    return TwistIdentity(f, h, k, j, origin="isogeny")
+    return TwistIdentity(f, h, k, j)
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +186,14 @@ class ConicPoint:
     s0: Fraction
 
 
-def conic_point_for(
-    k1: UniPoly, k2: UniPoly, t0: Fraction, sign_r: int = 1, sign_s: int = 1
-) -> ConicPoint:
+def conic_point_for(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicPoint:
     """Build a ConicPoint at t0, taking exact square roots of k1(t0), k2(t0)."""
     t0 = Fraction(t0)
     r0 = rational_sqrt(k1(t0))
     s0 = rational_sqrt(k2(t0))
     if r0 is None or s0 is None:
         raise ForgeError("k1(t0), k2(t0) must be rational squares")
-    return ConicPoint(t0, sign_r * r0, sign_s * s0)
-
-
-@dataclass(frozen=True)
-class ConicParam:
-    """A substitution t = t_of_u(u) trivializing one or two square roots."""
-
-    t_of_u: RatFunc
-    u_description: str
+    return ConicPoint(t0, r0, s0)
 
 
 def _require_square_after(k: UniPoly, t_of_u: RatFunc):
@@ -214,37 +202,17 @@ def _require_square_after(k: UniPoly, t_of_u: RatFunc):
         raise ExactMathError("substitution failed to make k(t(u)) a perfect square")
 
 
-def conic_param_single(k: UniPoly, point: tuple[Fraction, Fraction] | None = None) -> ConicParam:
-    """Parametrize u^2 = k(t) for squarefree k of degree 1 or 2.
-
-    Degree 1 needs no data; degree 2 needs a rational point (t0, s0) with
-    s0^2 = k(t0) (searching for one is out of scope).
-    """
-    if not k.is_squarefree():
-        raise ForgeError("conic parametrization needs squarefree k")
-    if k.degree == 1:
-        m, c = k.coeff(1), k.coeff(0)
-        t_of_u = RatFunc(UniPoly([-c / m, 0, 1 / m]))
-        param = ConicParam(t_of_u, f"u^2 = {k.to_str()}")
-    elif k.degree == 2:
-        if point is None:
-            raise ForgeError("degree-2 conic needs a supplied rational point (t0, s0)")
-        t0, s0 = Fraction(point[0]), Fraction(point[1])
-        if s0 * s0 != k(t0):
-            raise ForgeError("supplied point is not on s^2 = k(t)")
-        a2 = k.coeff(2)
-        kp = k.derivative()(t0)
-        # line s = s0 + u*(t - t0) meets s^2 = k(t) in one further point
-        w = RatFunc(UniPoly([kp, -2 * s0]), UniPoly([-a2, 0, 1]))
-        t_of_u = RatFunc(UniPoly([t0])) + w
-        param = ConicParam(t_of_u, f"chord slope u through ({rat_to_str(t0)}, {rat_to_str(s0)}) on s^2 = {k.to_str()}")
-    else:
-        raise ForgeError("conic parametrization needs deg k in {1, 2}")
-    _require_square_after(k, param.t_of_u)
-    return param
+def conic_param_single(k: UniPoly) -> RatFunc:
+    """The t(u) making k(t(u)) = u^2 for linear k."""
+    if k.degree != 1:
+        raise ForgeError("conic_param_single needs a linear factor")
+    m, c = k.coeff(1), k.coeff(0)
+    t_of_u = RatFunc(UniPoly([-c / m, 0, 1 / m]))
+    _require_square_after(k, t_of_u)
+    return t_of_u
 
 
-def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> ConicParam:
+def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> RatFunc:
     """Parametrize the genus-zero curve r^2 = k1(t), s^2 = k2(t) for independent
     linear k1, k2, using chords of slope u through the supplied rational point.
 
@@ -269,7 +237,7 @@ def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> ConicParam:
         raise ForgeError("degenerate conic parametrization (constant t(u))")
     _require_square_after(k1, t_of_u)
     _require_square_after(k2, t_of_u)
-    return ConicParam(t_of_u, f"chord slope u through (r, s) = ({rat_to_str(pt.r0)}, {rat_to_str(pt.s0)})")
+    return t_of_u
 
 
 # ---------------------------------------------------------------------------

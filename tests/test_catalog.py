@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import same_square_class, upoly
+from twistlab import catalog
 from twistlab.catalog import (
     CLAIMED_RANK,
     DEFAULT_PARAMS,
@@ -23,9 +24,11 @@ from twistlab.catalog import (
     twist_identities,
 )
 from twistlab.certify import certify_family
+from twistlab.cli import run
+from twistlab.curves import CurvePoint
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.jsonio import dump_json, family_to_json
-from twistlab.twistforge import validate_family
+from twistlab.twistforge import TwistFamily, validate_family
 
 F = Fraction
 
@@ -248,6 +251,23 @@ def test_crosscheck_off_default_parameters():
     for fid, params in OFF_DEFAULT_PARAMS:
         report = crosscheck(FamilySpec.make(fid, params))
         assert report.ok, (fid, params, report.messages)
+
+
+def test_crosscheck_reports_unmatched_point(monkeypatch, capsys):
+    # P1 + (0, 0) shares no x with a pipeline point; only a 2-torsion search would pair them
+    fam = build(FamilySpec.make("thm4_5"))
+    curve = fam.curve()
+    shifted = curve.add(fam.points[0], CurvePoint(RatFunc(0), RatFunc(0)))
+    assert curve.contains(shifted) and shifted.x != fam.points[0].x
+    tampered = TwistFamily(fam.base, fam.g, (shifted,) + fam.points[1:], fam.claimed_rank, fam.provenance)
+    monkeypatch.setattr(catalog, "_build", lambda spec, pipe=None: tampered)
+    report = crosscheck(FamilySpec.make("thm4_5"))
+    assert not report.ok
+    assert report.point_matches[0] == {"point": 1, "matched": False, "via": "none"}
+    assert [m["via"] for m in report.point_matches[1:]] == ["exact", "exact"]
+    assert report.messages == ("catalog point 1 not matched by any pipeline point",)
+    assert run(["crosscheck", "--id", "thm4_5"]) == 1
+    capsys.readouterr()
 
 
 def test_catalog_output_digests():

@@ -141,6 +141,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         ({**good, "claimed_rank": 2.9}, "'claimed_rank'"),
         ({**good, "claimed_rank": "2"}, "'claimed_rank'"),
         ({**good, "claimed_rank": True}, "'claimed_rank'"),
+        ({**good, "claimed_rank": -1}, "'claimed_rank'"),
+        ({**good, "provenance": []}, "'provenance'"),
+        ({**good, "provenance": [["family", "x"]]}, "'provenance'"),
         ({**good, "g": [0.1] + good["g"][1:]}, "'g'"),
         ({**good, "g": "123"}, "'g'"),
         ({**good, "curve": {**good["curve"], "e1": -1}}, "'curve'"),
@@ -183,6 +186,13 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
     _, err = _capture(capsys)
     assert "--threads" in err
+
+
+def test_repeated_parameter_rejected(capsys):
+    assert run(["catalog-build", "--id", "cor3_2", "--params", "a=1,a=3"]) == 2
+    _, err = _capture(capsys)
+    assert "'a'" in err
+    assert run(["catalog-build", "--id", "cor3_2", "--params", "a=3,b=2"]) == 0
 
 
 def test_inputs_never_mutated(capsys, tmp_path):

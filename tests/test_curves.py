@@ -13,7 +13,6 @@ from twistlab.curves import (
     CurvePoint,
     Isogeny,
     TwistedCurve,
-    rational_roots,
     three_isogeny,
     two_isogeny_quotient,
 )
@@ -174,10 +173,3 @@ def test_isogeny_identity_enforced():
     iso = two_isogeny_quotient(curve)
     with pytest.raises(CurveError):
         Isogeny(iso.source, iso.target, iso.phi_x, iso.phi_y + RatFunc(ONE), 2)
-
-
-def test_rational_roots():
-    assert rational_roots(upoly(0, -1, 0, 1)) == [Fraction(-1), Fraction(0), Fraction(1)]
-    assert rational_roots(upoly(0, 4, -5, 1)) == [Fraction(0), Fraction(1), Fraction(4)]
-    assert rational_roots(upoly(1, 3, Fraction(9, 4), 1)) == []
-    assert rational_roots(upoly(Fraction(-1, 2), 1)) == [Fraction(1, 2)]

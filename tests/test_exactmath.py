@@ -1,5 +1,6 @@
 """Exact arithmetic: polynomials, rational functions, square classes, integers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import same_square_class, upoly
+from twistlab import exactmath
 from twistlab.exactmath import (
     ONE,
     T,
@@ -282,6 +284,26 @@ def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * p * q) == {p: 2, q: 1}
     assert squarefree_part_int(p * p * q) == q
+
+
+def test_factorize_settles_small_cofactors_without_miller_rabin(monkeypatch):
+    # after trial division by every prime <= 4096, a cofactor below 4097^2 is prime
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(exactmath, "is_probable_prime", counted)
+    for n in (257 * 257, 257 * 263, 4093 * 4099, 4099, 4111, 10 ** 6 + 3, 4097 * 4097 - 1):
+        factors = factorize(n)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+        assert all(is_probable_prime(p) for p in factors)
+    assert factorize(4093 * 4099) == {4093: 1, 4099: 1}
+    assert calls == []
+    assert factorize(4099 * 4099) == {4099: 2}
+    assert factorize(4099 * 4111) == {4099: 1, 4111: 1}
+    assert factorize(4099 * 4111 * 7) == {7: 1, 4099: 1, 4111: 1}
 
 
 def test_primality():

@@ -155,24 +155,21 @@ def test_twist_identity_verified_on_construction():
 def test_conic_single_linear():
     # k = -b(at + b) at (a, b) = (1, 2): t(u) = -(u^2 + 4)/2
     par = conic_param_single(upoly(-4, -2))
-    assert par.t_of_u == RatFunc(upoly(-2, 0, F(-1, 2)))
+    assert par == RatFunc(upoly(-2, 0, F(-1, 2)))
     par2 = conic_param_single(upoly(-3, -6))  # -c(2bt + 3c) at (b, c) = (3, 1)
-    assert par2.t_of_u == RatFunc(upoly(F(-1, 2), 0, F(-1, 6)))
+    assert par2 == RatFunc(upoly(F(-1, 2), 0, F(-1, 6)))
     par3 = conic_param_single(upoly(0, 1))
-    assert par3.t_of_u == RatFunc(upoly(0, 0, 1))
+    assert par3 == RatFunc(upoly(0, 0, 1))
 
 
 def test_conic_single_quadratic_with_point():
-    k = upoly(1, 0, 1)  # t^2 + 1, point (0, 1)
-    par = conic_param_single(k, (F(0), F(1)))
-    kk, _ = square_class(compose(k, par.t_of_u))
-    assert kk == ONE
+    # only a linear k is parametrized: t^2 + 1 is refused though (0, 1) lies on it
     with pytest.raises(ForgeError):
-        conic_param_single(k)  # no point supplied
-    with pytest.raises(ForgeError):
-        conic_param_single(k, (F(0), F(2)))  # not on the conic
+        conic_param_single(upoly(1, 0, 1))
     with pytest.raises(ForgeError):
         conic_param_single(upoly(0, 0, 0, 1))  # cubic k out of range
+    with pytest.raises(ForgeError):
+        conic_param_single(upoly(4))  # constant k
 
 
 def test_conic_double_degree12_family():
@@ -181,9 +178,9 @@ def test_conic_double_degree12_family():
     assert (pt.t0, pt.r0, pt.s0) == (F(-1, 3), 0, 2)
     par = conic_param_double(k1, k2, pt)
     expected = RatFunc(upoly(-1, 0, -6, 0, -1), upoly(1, 0, -2, 0, 1) * 3)
-    assert par.t_of_u == expected
+    assert par == expected
     for k in (k1, k2):
-        kk, _ = square_class(compose(k, par.t_of_u))
+        kk, _ = square_class(compose(k, par))
         assert kk == ONE
 
 
@@ -201,7 +198,7 @@ def test_conic_double_lambda_family_matches_display():
         -4 * lam * lam * (lam - 1) * (2 * lam - 1),
         lam * lam * (lam + 1) * (2 * lam - 1) ** 2,
     )
-    assert par.t_of_u == RatFunc(n_poly, d_poly * d_poly * 2)
+    assert par == RatFunc(n_poly, d_poly * d_poly * 2)
 
 
 def test_conic_double_rejections():
@@ -227,7 +224,7 @@ def test_assemble_rank2_reproduces_display_class():
     f = upoly(0, b, a, 1)
     tid = twist_from_permutation(f, Mobius(-b, 0, a, b))
     par = conic_param_single(upoly(-b * b, -a * b))
-    fam = assemble_rank2(f, tid, par.t_of_u)
+    fam = assemble_rank2(f, tid, par)
     display = upoly(b * b, 0, 1) * upoly(b ** 4, 0, 2 * b * b - a * a * b, 0, 1) * (-a * b)
     assert fam.g == display
     assert fam.claimed_rank == 2 and len(fam.points) == 2
@@ -240,7 +237,7 @@ def test_assemble_rank3_reproduces_display():
     tid2 = twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 1, 0)))
     pt = conic_point_for(tid1.k, tid2.k, F(-1, 3))
     par = conic_param_double(tid1.k, tid2.k, pt)
-    fam = assemble_rank3(f, tid1, tid2, par.t_of_u)
+    fam = assemble_rank3(f, tid1, tid2, par)
     assert fam.g == upoly(1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1) * 6
     xs = {p.x for p in fam.points}
     assert RatFunc(upoly(1, 0, 0, 0, 1), upoly(0, 0, 6)) in xs
@@ -256,7 +253,7 @@ def test_assemble_rejects_foreign_identity():
     tid = twist_from_permutation(other, Mobius(-2, 0, 1, 2))
     par = conic_param_single(upoly(-4, -2))
     with pytest.raises(ForgeError):
-        assemble_rank2(f, tid, par.t_of_u)
+        assemble_rank2(f, tid, par)
 
 
 def test_genus_accounting():
@@ -265,6 +262,6 @@ def test_genus_accounting():
     tid2 = twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 1, 0)))
     pt = conic_point_for(tid1.k, tid2.k, F(-1, 3))
     par = conic_param_double(tid1.k, tid2.k, pt)
-    fam = assemble_rank3(f, tid1, tid2, par.t_of_u)
+    fam = assemble_rank3(f, tid1, tid2, par)
     assert fam.genus_upper() == (fam.g.degree - 1) // 2 == 5
     assert fam.claimed_rank <= fam.genus_upper()
