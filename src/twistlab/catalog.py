@@ -12,6 +12,7 @@ the sign of each point.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -28,6 +29,7 @@ from .exactmath import (
     ratfunc_sqrt,
     square_class,
 )
+from .jsonio import family_from_json, poly_to_json
 from .twistforge import (
     ConicPoint,
     ForgeError,
@@ -135,7 +137,7 @@ def _provenance(spec: FamilySpec, method: str, t_of_u: RatFunc | None, factor_po
         "method": method,
         "claimed_rank": recipe.rank,
         "degree": recipe.degree,
-        "factor_polys": [[rat_to_str(c) for c in fp.coeffs] for fp in factor_polys],
+        "factor_polys": [poly_to_json(fp) for fp in factor_polys],
     }
     if t_of_u is not None:
         prov["t_of_u"] = t_of_u.to_str("u")
@@ -222,7 +224,7 @@ def _attach_quartic_factors(fam: TwistFamily, t_of_u: RatFunc) -> TwistFamily:
     if k != ONE:
         raise ForgeError("quartic factor split does not multiply to g up to squares")
     prov = dict(fam.provenance)
-    prov["factor_polys"] = [[rat_to_str(c) for c in qn.coeffs] for qn in quartics]
+    prov["factor_polys"] = [poly_to_json(qn) for qn in quartics]
     prov["quartic_split"] = True
     return TwistFamily(fam.base, fam.g, fam.points, fam.claimed_rank, prov)
 
@@ -248,7 +250,7 @@ def _pipeline_mestre3_4(spec: FamilySpec) -> TwistFamily:
     h1 = RatFunc(UniPoly([b, b, b]) * -1, UniPoly([a, a])).compose(u2)
     h2 = RatFunc(UniPoly([-b, 0, 0, b]) * -1, UniPoly([0, -a, 0, a])).compose(u2)
     g, _ = square_class(compose(f, h1))
-    pts = tuple(CurvePoint(x, ratfunc_sqrt(compose(f, x) / RatFunc(g)).sign_normalized()[0]) for x in (h1, h2))
+    pts = tuple(CurvePoint(x, ratfunc_sqrt(compose(f, x) / RatFunc(g)).sign_normalized()) for x in (h1, h2))
     prov = _provenance(spec, "double-cover", None, _mestre_factors(a, b), notes=_MESTRE_NOTES)
     return checked_family(TwistFamily(CubicCurve(f), g, pts, 2, prov))
 
@@ -260,7 +262,7 @@ REM4_6_X = RatFunc(UniPoly([25, -10, 1]), UniPoly([24, 24]))
 
 def _pipeline_rem4_6(spec: FamilySpec) -> TwistFamily:
     g, j = square_class(compose(_F_CONGRUENT, REM4_6_X))
-    y, _ = j.sign_normalized()
+    y = j.sign_normalized()
     prov = _provenance(spec, "single-cover", None, [])
     return checked_family(TwistFamily(CubicCurve(_F_CONGRUENT), g, (CurvePoint(REM4_6_X, y),), 1, prov))
 
@@ -280,7 +282,7 @@ def _displayed(spec: FamilySpec, f: UniPoly, factors, points, method="display", 
 def _displayed_g(spec: FamilySpec, pipe: TwistFamily, factors, method="display", notes="") -> TwistFamily:
     """The displayed g with the pipeline family's points rescaled onto its twist."""
     rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(reduce(mul, factors, ONE)))
-    pts = [CurvePoint(p.x, (p.y * rho).sign_normalized()[0]) for p in pipe.points]
+    pts = [CurvePoint(p.x, (p.y * rho).sign_normalized()) for p in pipe.points]
     return _displayed(spec, pipe.base.f, factors, pts, method, notes)
 
 
@@ -592,10 +594,6 @@ def golden_path(family_id: str):
 
 
 def load_golden(family_id: str) -> TwistFamily:
-    import json
-
-    from .jsonio import family_from_json
-
     with golden_path(family_id).open() as fh:
         return family_from_json(json.load(fh))
 
@@ -645,6 +643,16 @@ class CrosscheckReport:
     @property
     def ok(self) -> bool:
         return self.g_square_class_matches and all(m["matched"] for m in self.point_matches)
+
+    def to_json(self) -> dict:
+        return {
+            "family": self.family,
+            "params": self.params,
+            "g_square_class_matches": self.g_square_class_matches,
+            "point_matches": list(self.point_matches),
+            "messages": list(self.messages),
+            "ok": self.ok,
+        }
 
 
 def crosscheck(spec: FamilySpec) -> CrosscheckReport:

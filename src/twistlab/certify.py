@@ -22,6 +22,7 @@ from .exactmath import (
     _SMALL_PRIMES,
     ExactMathError,
     RatFunc,
+    T,
     UniPoly,
     discriminant_cubic,
     is_probable_prime,
@@ -116,7 +117,7 @@ def specialize(fam: TwistFamily, u0) -> SpecializedTwist:
         pts.append(CurvePoint(x, y * w))
     for i, p in enumerate(pts, start=1):
         if not on_twist(d, fam.base.f, p):
-            raise CertifyError("specialize", f"specialized point {i} left the curve (internal error)")
+            raise CertifyError("specialized-on-curve", f"specialized point {i} left the curve (internal error)")
     return SpecializedTwist(u0, d, fam.base, tuple(pts))
 
 
@@ -317,15 +318,15 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     return max(verdicts, key=lambda v: v.rank)
 
 
+def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVerdict:
+    """The mod-ell verdict on the specialized points at their first
+    `prime_budget` good primes."""
+    return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, good_primes(spec, prime_budget))
+
+
 # ---------------------------------------------------------------------------
 # The u -> -u eigenvalue split
 # ---------------------------------------------------------------------------
-
-
-def _negate_u(r: RatFunc) -> RatFunc:
-    flip_num = UniPoly([c if i % 2 == 0 else -c for i, c in enumerate(r.num.coeffs)])
-    flip_den = UniPoly([c if i % 2 == 0 else -c for i, c in enumerate(r.den.coeffs)])
-    return RatFunc(flip_num, flip_den)
 
 
 def automorphism_classification(fam: TwistFamily) -> list[str] | None:
@@ -338,7 +339,7 @@ def automorphism_classification(fam: TwistFamily) -> list[str] | None:
         return None
     out = []
     for p in fam.points:
-        x2, y2 = _negate_u(p.x), _negate_u(p.y)
+        x2, y2 = p.x.compose(-T), p.y.compose(-T)
         if x2 == p.x and y2 == p.y:
             out.append("fixed")
         elif x2 == p.x and y2 == -p.y:
@@ -351,31 +352,6 @@ def automorphism_classification(fam: TwistFamily) -> list[str] | None:
 # ---------------------------------------------------------------------------
 # The certificate
 # ---------------------------------------------------------------------------
-
-
-def _candidate_u0s(fam: TwistFamily, how_many: int):
-    """Deterministic specialization points avoiding roots, poles, and
-    2-torsion degenerations."""
-    found = []
-    for n in count(2):
-        u0 = Fraction(n)
-        if RatFunc(fam.g).evaluate(u0) == 0:
-            continue
-        ok = True
-        for p in fam.points:
-            try:
-                if p.y.evaluate(u0) == 0:
-                    ok = False
-                    break
-                p.x.evaluate(u0)
-            except ExactMathError:
-                ok = False
-                break
-        if ok:
-            found.append(u0)
-            if len(found) == how_many:
-                return found
-    return found
 
 
 def certify_family(
@@ -400,6 +376,8 @@ def certify_family(
     for check in checks:
         if check.name in failures:
             raise CertifyError(check.name)
+    if "g-degree" in failures:
+        raise CertifyError("g-degree")
 
     genus = genus_upper_bound(fam.g)
     certified = 1 if r >= 1 else 0
@@ -413,12 +391,20 @@ def certify_family(
             checks.append(CheckResult("independence", "pass", independence_witness))
     if r >= 2 and certified < r:
         witnesses = []
-        for u0 in _candidate_u0s(fam, samples):
-            spec = specialize(fam, u0)
-            verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, good_primes(spec, prime_budget))
-            witnesses.append({"u0": rat_to_str(u0), "d": spec.d, **verdict.to_json()})
+        # u0 = 2, 3, ...; skip roots of g, poles, and points with y = 0 (2-torsion)
+        for u0 in count(2):
+            try:
+                spec = specialize(fam, u0)
+            except CertifyError as exc:
+                if exc.check_name != "specialize":
+                    raise
+                continue
+            if any(pt.y == 0 for pt in spec.points):
+                continue
+            verdict = certify_specialization(spec, prime_budget)
+            witnesses.append({"u0": rat_to_str(spec.u0), "d": spec.d, **verdict.to_json()})
             certified = max(certified, verdict.rank)
-            if verdict.independent:
+            if verdict.independent or len(witnesses) == samples:
                 break
         independence_witness = {"strategy": "specialization + mod-ell reduction", "specializations": witnesses}
         checks.append(CheckResult("independence", "pass" if certified == r else "inconclusive", independence_witness))

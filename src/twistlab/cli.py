@@ -103,14 +103,7 @@ def _forge(args, want_rank: int) -> int:
 def _cmd_crosscheck(args) -> int:
     spec = FamilySpec.make(args.id, _parse_params(args.params))
     report = catalog.crosscheck(spec)
-    payload = {
-        "family": report.family,
-        "params": report.params,
-        "g_square_class_matches": report.g_square_class_matches,
-        "point_matches": list(report.point_matches),
-        "messages": list(report.messages),
-        "ok": report.ok,
-    }
+    payload = report.to_json()
     lines = [f"crosscheck {report.family}: {'OK' if report.ok else 'MISMATCH'}"] + list(report.messages)
     _emit(args, payload, lines)
     return 0 if report.ok else 1

@@ -19,15 +19,10 @@ from functools import reduce
 from math import gcd, isqrt
 from operator import mul
 
-from .certify import (
-    DEFAULT_PRIME_BUDGET,
-    CertifyError,
-    good_primes,
-    mod_p_relation_sieve,
-    specialize,
-)
+from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize
 from .exactmath import (
     ONE,
+    SMALL_PRIME_BOUND,
     RatFunc,
     UniPoly,
     _SMALL_PRIMES,
@@ -178,17 +173,14 @@ def _default_x_grid(x_max: int | None, cap: int) -> tuple[int, ...]:
 
 
 # The sieve primes stop at the least B with B^3 above every factor value on
-# the grid, and at this cap.  A value stripped of the primes up to B then
-# leaves a cofactor c < B^3 whose primes all exceed B: c is 1, q, q^2 or q*r,
-# so c is either a square or squarefree, and one isqrt tells which.  The
-# sieve primes are taken from exactmath._SMALL_PRIMES, which stops at 4096 too.
-SIEVE_BOUND_CAP = 4096
-
-
+# the grid, and at exactmath.SMALL_PRIME_BOUND, where its prime table stops.
+# A value stripped of the primes up to B then leaves a cofactor c < B^3 whose
+# primes all exceed B: c is 1, q, q^2 or q*r, so c is either a square or
+# squarefree, and one isqrt tells which.
 def _sieve_bound(factors, grid: int) -> int:
     largest = max(sum(abs(c) for c in fc) * grid ** (len(fc) - 1) for fc in factors)
     bound = 2
-    while bound < SIEVE_BOUND_CAP and bound ** 3 <= largest:
+    while bound < SMALL_PRIME_BOUND and bound ** 3 <= largest:
         bound += 1
     return bound
 
@@ -354,7 +346,7 @@ def _certify_one(args):
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
     if spec.d != d:
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": "witness mismatch"}
-    verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, good_primes(spec, prime_budget))
+    verdict = certify_specialization(spec, prime_budget)
     rec = {"u0": rat_to_str(u0), "certified": verdict.independent, **verdict.to_json()}
     return d, rec
 

@@ -146,9 +146,6 @@ class UniPoly:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other) -> "UniPoly":
-        return (-self) + other
-
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             return other
@@ -189,9 +186,6 @@ class UniPoly:
                 rem[shift + i] -= factor * c
             rem.pop()
         return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other) -> "UniPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]
@@ -370,9 +364,6 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
@@ -390,16 +381,8 @@ class RatFunc:
             raise ExactMathError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -427,13 +410,12 @@ class RatFunc:
         p, q = inner.num, inner.den
         return RatFunc(self.num.eval_homog(p, q, d), self.den.eval_homog(p, q, d))
 
-    def sign_normalized(self) -> tuple["RatFunc", int]:
-        """Return (|self| with positive leading numerator coefficient, sign)."""
-        if self.is_zero():
-            return self, 1
-        if self.num.leading() < 0:
-            return -self, -1
-        return self, 1
+    def sign_normalized(self) -> "RatFunc":
+        """Return self or -self, whichever has a positive leading numerator
+        coefficient (zero is returned as is)."""
+        if not self.is_zero() and self.num.leading() < 0:
+            return -self
+        return self
 
     def to_str(self, var: str = "t") -> str:
         if self.den == ONE:
@@ -446,10 +428,7 @@ class RatFunc:
 
 def compose(f: UniPoly, h) -> RatFunc:
     """f(h(t)) as a reduced rational function, for h in Q(t) (or Q[t], Q)."""
-    if isinstance(h, (int, Fraction, UniPoly)):
-        h = RatFunc(h)
-    n = max(f.degree, 0)
-    return RatFunc(f.eval_homog(h.num, h.den, n), h.den ** n)
+    return RatFunc(f).compose(h)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +496,7 @@ def square_class(r) -> tuple[UniPoly, RatFunc]:
     if w is None:  # pragma: no cover - c/d_int is a square by construction
         raise ExactMathError("square-class constant normalization failed")
     k = prim * d_int
-    j, _ = (RatFunc(s, r.den) * w).sign_normalized()
+    j = (RatFunc(s, r.den) * w).sign_normalized()
     if RatFunc(k) * j * j != r:
         raise ExactMathError("square-class decomposition failed re-expansion check")
     return k, j
@@ -569,15 +548,16 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_SMALL_PRIMES = _sieve(4096)
-_TRIAL_PRIMES = [p for p in _SMALL_PRIMES if p <= 256]
+# factorize divides out every prime up to this bound by trial division, and
+# the density sieve sieves by no prime above it.
+SMALL_PRIME_BOUND = 4096
+_SMALL_PRIMES = _sieve(SMALL_PRIME_BOUND)
 
 
 def _prime_chunks() -> list[tuple[list[int], int]]:
     chunks = []
-    mid = [p for p in _SMALL_PRIMES if p > 256]
-    for i in range(0, len(mid), 64):
-        block = mid[i : i + 64]
+    for i in range(0, len(_SMALL_PRIMES), 64):
+        block = _SMALL_PRIMES[i : i + 64]
         prod = 1
         for p in block:
             prod *= p
@@ -661,35 +641,27 @@ def factorize(n: int) -> dict[int, int]:
         raise ExactMathError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
+    # batched trial division: one gcd per block of small primes
+    for block, prod in _PRIME_CHUNKS:
+        if n == 1:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1 and n > 256 * 256:
-        # batched trial division: one gcd per block of mid-sized primes
-        for block, prod in _PRIME_CHUNKS:
-            g = _int_gcd(n, prod)
-            if g > 1:
-                for p in block:
-                    if g % p == 0:
-                        while n % p == 0:
-                            out[p] = out.get(p, 0) + 1
-                            n //= p
-                        g //= p
-                        if g == 1:
-                            break
-            if n == 1:
-                break
+        g = _int_gcd(n, prod)
+        if g > 1:
+            for p in block:
+                if g % p == 0:
+                    while n % p == 0:
+                        out[p] = out.get(p, 0) + 1
+                        n //= p
+                    g //= p
+                    if g == 1:
+                        break
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        # m has no prime factor <= 4096 (a cofactor that skipped the chunk
-        # gcds is below 257^2 and prime already), so m < 4097^2 is prime
-        if m < 4097 * 4097 or is_probable_prime(m):
+        # m has no prime factor <= SMALL_PRIME_BOUND, so m < (SMALL_PRIME_BOUND + 1)^2 is prime
+        if m < (SMALL_PRIME_BOUND + 1) ** 2 or is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         root = isqrt(m)

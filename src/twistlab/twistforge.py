@@ -299,8 +299,7 @@ def checked_family(fam: TwistFamily) -> TwistFamily:
 
 def _normalized_point(x: RatFunc, y: RatFunc) -> CurvePoint:
     # deterministic sign: positive leading numerator coefficient on y
-    y, _ = y.sign_normalized()
-    return CurvePoint(x, y)
+    return CurvePoint(x, y.sign_normalized())
 
 
 def _family_from_identities(

@@ -167,6 +167,7 @@ def _trial_division_sf(n: int) -> int:
     return sign * d * n
 
 
+@pytest.mark.slow
 def test_criterion_7_density_exponents():
     t0 = time.time()
     rng = random.Random(0)
@@ -211,6 +212,7 @@ def test_criterion_8_certified_density_soundness():
     _report(8, f"certified fraction {good}/{total} with replayable witnesses", t0)
 
 
+@pytest.mark.slow
 def test_criterion_9_oracle_equivalence():
     t0 = time.time()
     # squarefree parts against a smallest-prime-factor sieve on all |n| <= 10^6

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import upoly
-from twistlab import catalog
+from twistlab import catalog, certify
 from twistlab.catalog import FamilySpec, build, crosscheck, rem4_6_tower
 from twistlab.certify import (
     BadPrimeError,
@@ -24,7 +24,7 @@ from twistlab.certify import (
     specialize,
 )
 from twistlab.curves import CubicCurve, CurvePoint, TwistedCurve
-from twistlab.exactmath import discriminant_cubic
+from twistlab.exactmath import T, compose, discriminant_cubic
 from twistlab.twistforge import TwistFamily
 
 F = Fraction
@@ -270,6 +270,39 @@ def test_recorded_verdicts_replay():
             primes = entry["primes"] + ([entry["torsion_prime"]] if entry["torsion_prime"] else [])
             verdict = mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
             assert verdict.to_json() == {k: entry[k] for k in verdict.to_json()}
+
+
+def _u0s(cert):
+    check = next(c for c in cert.checks if c.name == "independence")
+    return [e["u0"] for e in check.witness["specializations"]]
+
+
+def test_u0_walk_skips_poles():
+    # u -> u - 2 moves the points' poles at u = 0 and u = 1 to u = 2 and u = 3
+    fam = build(FamilySpec.make("thm4_5"))
+    shift = T - 2
+    pts = tuple(CurvePoint(p.x.compose(shift), p.y.compose(shift)) for p in fam.points)
+    shifted = TwistFamily(fam.base, compose(fam.g, shift).num, pts, 3, fam.provenance)
+    cert = certify_family(shifted)
+    assert _u0s(cert) == ["4"] and cert.certified_lower == 3
+    # three primes prove rank 2 only, so the walk takes `samples` usable u0
+    assert _u0s(certify_family(shifted, samples=3, prime_budget=3)) == ["4", "5", "6"]
+
+
+def test_u0_walk_raises_internal_errors(monkeypatch):
+    calls = []
+
+    def off_curve(d, f, pt):
+        calls.append(pt)
+        if len(calls) > 50:
+            raise RuntimeError("the u0 walk skipped an internal error")
+        return False
+
+    monkeypatch.setattr(certify, "on_twist", off_curve)
+    with pytest.raises(CertifyError) as err:
+        certify_family(build(FamilySpec.make("thm4_5")))
+    assert err.value.check_name == "specialized-on-curve"
+    assert "left the curve (internal error)" in str(err.value)
 
 
 def test_each_family_is_checked_once(monkeypatch):

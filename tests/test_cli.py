@@ -65,6 +65,17 @@ def test_certify_corrupted_point_exits_1(capsys, tmp_path):
     assert "on-curve[1]" in out + err
 
 
+def test_certify_rejects_wrong_provenance_degree(capsys, tmp_path):
+    payload = family_to_json(build(FamilySpec.make("thm4_5")))
+    for degree in (-3, "12", True):
+        payload["provenance"]["degree"] = degree
+        path = tmp_path / "bad.json"
+        dump_json(payload, path=path)
+        assert run(["certify", "--family", str(path), "--json"]) == 1, degree
+        out, _ = _capture(capsys)
+        assert json.loads(out)["failed_check"] == "g-degree", degree
+
+
 def test_specialize_cli(capsys, tmp_path):
     path = tmp_path / "fam.json"
     run(["catalog-build", "--id", "thm4_5", "--out", str(path), "--json"])

@@ -166,6 +166,7 @@ def test_square_class_of_twist_quotient():
     assert same_square_class(RatFunc(k), RatFunc(upoly(2, 6))) is False
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
 def test_square_class_reexpansion(p, q, r):
