@@ -269,6 +269,22 @@ def test_certified_density_threads_match_sequential():
     assert seq.certifications == par.certifications
 
 
+# sha256 of the `certifications` payload of certified_density at grid 30 with
+# x_max=None: every verdict, its primes, ell and torsion prime
+CERTIFICATION_SHA256 = {
+    "thm4_5": "4725083b3c83aa66629c6540253aebbcebd9aa3d3e9a3b8e5e74381c90c0f7cb",
+    "cor3_2": "30545589e528840edcc8f06b33ca8c9765aa38ed0ba5113e9fe330b4e7dca3a4",
+}
+
+
+def test_certification_digests():
+    for fid, digest in CERTIFICATION_SHA256.items():
+        fam, form = _form(fid)
+        rep = certified_density(fam, enumerate_S(form, grid=30, x_max=None, family=fid))
+        text = json.dumps(rep.to_json()["certifications"])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fid
+
+
 def test_report_json_round_trip_fields():
     _, form = _form("cor3_2")
     rep = with_fit(enumerate_S(form, grid=30, modulus=1, x_max=None, family="cor3_2"))
