@@ -21,7 +21,6 @@ from .curves import CubicCurve, CurvePoint, TwistedCurve, on_twist
 from .exactmath import (
     _SMALL_PRIMES,
     ExactMathError,
-    RatFunc,
     T,
     UniPoly,
     discriminant_cubic,
@@ -45,6 +44,10 @@ class CertifyError(ValueError):
     def __init__(self, check_name: str, message: str = ""):
         self.check_name = check_name
         super().__init__(message or f"certification aborted at check {check_name!r}")
+
+    def __reduce__(self):
+        # the default pickles only args, which holds the message alone
+        return type(self), (self.check_name, str(self))
 
 
 @dataclass(frozen=True)
@@ -98,15 +101,22 @@ class SpecializedTwist:
         }
 
 
-def specialize(fam: TwistFamily, u0) -> SpecializedTwist:
+def specialize(fam: TwistFamily, u0, d: int | None = None) -> SpecializedTwist:
     """Substitute a rational u0, clearing the square part of g(u0) into the
-    y-coordinates so the twist constant is a squarefree integer."""
+    y-coordinates so the twist constant is a squarefree integer.
+
+    A caller that already knows the squarefree part of g(u0), such as the
+    density sieve, passes it as d; it is used when g(u0)/d is a rational
+    square, and otherwise g(u0) is factored as when d is None.
+    """
     u0 = Fraction(u0)
-    g_val = RatFunc(fam.g).evaluate(u0)
+    g_val = fam.g(u0)
     if g_val == 0:
         raise CertifyError("specialize", f"u0 = {rat_to_str(u0)} is a root of g")
-    d = squarefree_part_int(g_val.numerator * g_val.denominator)
-    w = rational_sqrt(g_val / d)
+    w = rational_sqrt(g_val / d) if d else None
+    if w is None:
+        d = squarefree_part_int(g_val.numerator * g_val.denominator)
+        w = rational_sqrt(g_val / d)
     pts = []
     for i, p in enumerate(fam.points, start=1):
         try:
@@ -131,16 +141,17 @@ class BadPrimeError(ValueError):
 
 
 class _ModCurve:
-    """D*y^2 = f(x) over F_p with the same chord-tangent law as in Q."""
+    """D*y^2 = f(x) over F_p with the same chord-tangent law as in Q, for
+    f = x^3 + e2*x^2 + e1*x + e0 mod p."""
 
     __slots__ = ("p", "d", "e2", "e1", "e0")
 
-    def __init__(self, p: int, d: int, f: UniPoly):
+    def __init__(self, p: int, d: int, e2: int, e1: int, e0: int):
         self.p = p
         self.d = d % p
-        self.e2 = _mod_frac(f.coeff(2), p)
-        self.e1 = _mod_frac(f.coeff(1), p)
-        self.e0 = _mod_frac(f.coeff(0), p)
+        self.e2 = e2
+        self.e1 = e1
+        self.e0 = e0
 
     def f_at(self, x: int) -> int:
         return (((x + self.e2) * x + self.e1) * x + self.e0) % self.p
@@ -186,29 +197,74 @@ def _mod_frac(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
+def _frobenius_trace(p: int, e2: int, e1: int, e0: int) -> int:
+    """a_p = -sum_x (f(x)/p) for f = x^3 + e2*x^2 + e1*x + e0 over F_p."""
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        chi[y * y % p] = 1
+    return -sum(chi[(((x + e2) * x + e1) * x + e0) % p] for x in range(p))
+
+
+class _Reductions(dict):
+    """A monic cubic f mod each prime p, filled on first use: (e2, e1, e0,
+    a_p) with f = x^3 + e2*x^2 + e1*x + e0 mod p, or None where p divides a
+    coefficient's denominator or the discriminant.  One a_p serves every
+    twist: D*y^2 = f(x) has p + 1 - (D/p)*a_p points over F_p."""
+
+    def __init__(self, f: UniPoly):
+        super().__init__()
+        self.coeffs = (f.coeff(2), f.coeff(1), f.coeff(0))
+        self.disc = discriminant_cubic(f)
+
+    def __missing__(self, p: int):
+        reduction = None
+        try:
+            if _mod_frac(self.disc, p):
+                e2, e1, e0 = (_mod_frac(c, p) for c in self.coeffs)
+                reduction = (e2, e1, e0, _frobenius_trace(p, e2, e1, e0))
+        except BadPrimeError:
+            pass
+        self[p] = reduction
+        return reduction
+
+
+# one _Reductions per cubic, keyed on the numerators and denominators of its
+# coefficients, which hash faster than the Fractions
+_REDUCTIONS: dict[tuple[int, ...], _Reductions] = {}
+
+
+def _reductions(f: UniPoly) -> _Reductions:
+    key = tuple(v for c in f.coeffs for v in (c.numerator, c.denominator))
+    table = _REDUCTIONS.get(key)
+    if table is None:
+        if len(_REDUCTIONS) >= 64:  # drop the oldest curve
+            del _REDUCTIONS[next(iter(_REDUCTIONS))]
+        table = _REDUCTIONS[key] = _Reductions(f)
+    return table
+
+
+def _count_points(p: int, d: int, a_p: int) -> int:
+    """#E_D(F_p) = p + 1 - (D/p)*a_p for D prime to p."""
+    return p + 1 - a_p if pow(d, (p - 1) // 2, p) == 1 else p + 1 + a_p
+
+
 def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
     """The first `how_many` primes above max(ELLS) of good reduction for the
     specialized curve whose points reduce to affine points (fewer if the
-    small-prime table runs out)."""
-    disc = discriminant_cubic(spec.base.f)
-    bad = 2 * abs(spec.d) * abs(disc.numerator) * disc.denominator
-    for coeff in spec.base.f.coeffs:
-        bad *= coeff.denominator
+    small-prime table runs out), tested in table order."""
+    reductions = _reductions(spec.base.f)
+    # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
+    bad = spec.d
     for pt in spec.points:
-        bad *= Fraction(pt.x).denominator * Fraction(pt.y).denominator
-        # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
-    return [p for p in _SMALL_PRIMES if p > ELLS[-1] and bad % p != 0][:how_many]
-
-
-def _count_points(mc: _ModCurve) -> int:
-    """#E(F_p) = 1 + sum_x (1 + (D f(x) / p)), counted through the number of
-    square roots of each residue."""
-    p = mc.p
-    roots = [0] * p
-    for y in range(p):
-        roots[y * y % p] += 1
-    d_inv = pow(mc.d, -1, p)
-    return 1 + sum(roots[mc.f_at(x) * d_inv % p] for x in range(p))
+        bad *= pt.x.denominator * pt.y.denominator
+    primes = []
+    for p in _SMALL_PRIMES:
+        if p > ELLS[-1] and bad % p and reductions[p]:
+            primes.append(p)
+            if len(primes) == how_many:
+                break
+    return primes
 
 
 def _ell_row(mc: _ModCurve, order: int, ell: int, reduced) -> list[int]:
@@ -268,15 +324,17 @@ class SieveVerdict:
         }
 
 
-def _reduce_at(p: int, pts, d: int, f: UniPoly, disc: Fraction):
+def _reduce_at(p: int, pts, d: int, reductions: _Reductions):
     """The curve mod p, its point count, and the reduced points."""
-    if p <= ELLS[-1] or not is_probable_prime(p) or d % p == 0 or _mod_frac(disc, p) == 0:
+    reduction = reductions[p] if p > ELLS[-1] and is_probable_prime(p) and d % p else None
+    if reduction is None:
         raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
-    mc = _ModCurve(p, d, f)
-    reduced = [(_mod_frac(Fraction(pt.x), p), _mod_frac(Fraction(pt.y), p)) for pt in pts]
+    e2, e1, e0, a_p = reduction
+    mc = _ModCurve(p, d, e2, e1, e0)
+    reduced = [(_mod_frac(pt.x, p), _mod_frac(pt.y, p)) for pt in pts]
     if not all(mc.on_curve(rp) for rp in reduced):
         raise BadPrimeError(f"bad reduction at {p}")
-    return mc, _count_points(mc), reduced
+    return mc, _count_points(p, d, a_p), reduced
 
 
 def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
@@ -291,7 +349,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     for pt in pts:
         if not on_twist(d, f, pt):
             raise CertifyError("sieve-input", "sieve input point is not on the curve")
-    disc = discriminant_cubic(f)
+    curve_mod_p = _reductions(f)
     reductions = {}
     verdicts = []
     for ell in ELLS:
@@ -300,7 +358,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
         torsion = None
         for p in primes:
             if p not in reductions:
-                reductions[p] = _reduce_at(p, pts, d, f, disc)
+                reductions[p] = _reduce_at(p, pts, d, curve_mod_p)
             mc, order, reduced = reductions[p]
             if order % ell:
                 torsion = torsion or p

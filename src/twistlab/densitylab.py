@@ -341,8 +341,10 @@ def _certify_one(args):
     fam, d, a, b, prime_budget = args
     u0 = Fraction(a, b)
     try:
-        spec = specialize(fam, u0)
+        spec = specialize(fam, u0, d)
     except CertifyError as exc:
+        if exc.check_name != "specialize":
+            raise
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
     if spec.d != d:
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": "witness mismatch"}

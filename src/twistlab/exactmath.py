@@ -223,10 +223,28 @@ class UniPoly:
         """Evaluate by Horner's rule; x may be a scalar, UniPoly, or RatFunc."""
         if isinstance(x, RatFunc):
             return compose(self, x)
+        if isinstance(x, (int, Fraction)):
+            return Fraction(*self._at(x.numerator, x.denominator))
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def _at(self, a: int, b: int) -> tuple[int, int]:
+        """(N, M) with N/M the value at a/b for b > 0: the coefficients go
+        over their common denominator L, Horner runs over the integers on
+        (a, b), and M = L * b^degree."""
+        if not self.coeffs:
+            return 0, 1
+        den = 1
+        for c in self.coeffs:
+            den = den * c.denominator // _int_gcd(den, c.denominator)
+        acc = 0
+        bp = 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c.numerator * (den // c.denominator) * bp
+            bp *= b
+        return acc, den * bp // b
 
     def eval_homog(self, p: "UniPoly", q: "UniPoly", n: int) -> "UniPoly":
         """Homogenized evaluation sum_i c_i p^i q^(n-i) for n >= degree."""
@@ -398,10 +416,11 @@ class RatFunc:
     def evaluate(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point; raises on a pole."""
         x = _as_rat(x)
-        d = self.den(x)
+        d, d_den = self.den._at(x.numerator, x.denominator)
         if d == 0:
             raise ExactMathError(f"pole of rational function at {rat_to_str(x)}")
-        return self.num(x) / d
+        n, n_den = self.num._at(x.numerator, x.denominator)
+        return Fraction(n * d_den, n_den * d)
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """Substitute another rational function for the variable."""

@@ -1,5 +1,7 @@
 """Rank certificates: eigensplit, specialization, and the mod-ell reduction proof."""
 
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from twistlab.certify import (
     RankCertificate,
     SpecializedTwist,
     _count_points,
+    _mod_frac,
     _ModCurve,
     automorphism_classification,
     certify_family,
@@ -24,6 +27,7 @@ from twistlab.certify import (
     specialize,
 )
 from twistlab.curves import CubicCurve, CurvePoint, TwistedCurve
+from twistlab.densitylab import certified_density, enumerate_S, homog_form
 from twistlab.exactmath import T, compose, discriminant_cubic
 from twistlab.twistforge import TwistFamily
 
@@ -71,6 +75,27 @@ def test_specialize_clears_square_part():
     spec = specialize(fam, F(1, 2))
     assert spec.d == -29274  # reciprocal symmetry of the palindromic g
     assert spec.curve().contains(spec.points[0])
+
+
+def _specialized(fam, u0, *d):
+    try:
+        return specialize(fam, u0, *d)
+    except CertifyError as exc:
+        return exc.check_name, str(exc)
+
+
+def test_specialize_takes_the_sieves_d():
+    for fid in ("thm4_5", "cor3_2"):
+        fam = build(FamilySpec.make(fid))
+        report = enumerate_S(homog_form(fam.g, fam.provenance.get("factor_polys")), grid=20, x_max=None)
+        for d, (a, b) in report.witnesses.items():
+            assert _specialized(fam, F(a, b), d) == _specialized(fam, F(a, b)), (fid, d)
+
+
+def test_specialize_factors_g_when_d_is_off_its_square_class():
+    fam = build(FamilySpec.make("thm4_5"))
+    for d in (29274, -29274 * 5, 1):
+        assert specialize(fam, 2, d).d == -29274
 
 
 def test_specialize_rejects_root_of_g():
@@ -168,14 +193,39 @@ def test_sieve_rejects_off_curve_point():
 
 
 def test_count_points_matches_brute_force():
+    # one a_p per prime, and D from both square classes mod p
     fam, spec = _spec_points()
-    for d in (spec.d, 1, -1, 5, 77):
-        for p in (11, 13, 19, 23, 29, 53, 97):
+    f = fam.base.f
+    traces = []
+    for p in (11, 13, 19, 23, 29, 53, 97):
+        e2, e1, e0, a_p = certify._reductions(f)[p]
+        traces.append(a_p)
+        f_mod_p = [_mod_frac(f(F(x)), p) for x in range(p)]
+        assert f_mod_p == [_ModCurve(p, 1, e2, e1, e0).f_at(x) for x in range(p)]
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        for d in (spec.d, 1, -1, 5, 77, nonresidue, -nonresidue):
             if d % p == 0:
                 continue
-            mc = _ModCurve(p, d, fam.base.f)
-            brute = 1 + sum(1 for x in range(p) for y in range(p) if (mc.d * y * y - mc.f_at(x)) % p == 0)
-            assert _count_points(mc) == brute, (d, p)
+            brute = 1 + sum(1 for x in range(p) for y in range(p) if (d * y * y - f_mod_p[x]) % p == 0)
+            assert _count_points(p, d, a_p) == brute, (d, p)
+    assert any(traces)  # else the sign of (D/p) would go untested
+
+
+def test_a_p_is_computed_once_per_curve_and_prime(monkeypatch):
+    calls = Counter()
+    trace = certify._frobenius_trace
+
+    def counting(*key):
+        calls[key] += 1
+        return trace(*key)
+
+    monkeypatch.setattr(certify, "_REDUCTIONS", {})
+    monkeypatch.setattr(certify, "_frobenius_trace", counting)
+    fam = build(FamilySpec.make("thm4_5"))
+    form = homog_form(fam.g, fam.provenance.get("factor_polys"))
+    report = certified_density(fam, enumerate_S(form, grid=20, x_max=None))
+    assert len(report.certifications) > 100 and calls
+    assert max(calls.values()) == 1
 
 
 def test_good_primes_deterministic_and_floor():
@@ -303,6 +353,14 @@ def test_u0_walk_raises_internal_errors(monkeypatch):
         certify_family(build(FamilySpec.make("thm4_5")))
     assert err.value.check_name == "specialized-on-curve"
     assert "left the curve (internal error)" in str(err.value)
+
+
+def test_certify_error_survives_pickling():
+    err = CertifyError("specialized-on-curve", "specialized point 1 left the curve (internal error)")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is CertifyError and back.check_name == err.check_name and str(back) == str(err)
+    back = pickle.loads(pickle.dumps(CertifyError("g-degree")))
+    assert back.check_name == "g-degree" and str(back) == "certification aborted at check 'g-degree'"
 
 
 def test_each_family_is_checked_once(monkeypatch):

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab import densitylab
+from twistlab import certify, densitylab
+from twistlab.certify import CertifyError
 from twistlab.catalog import FAMILY_IDS, FamilySpec, build, build_pipeline
 from twistlab.densitylab import (
     DensityError,
@@ -283,6 +284,25 @@ def test_certification_digests():
         rep = certified_density(fam, enumerate_S(form, grid=30, x_max=None, family=fid))
         text = json.dumps(rep.to_json()["certifications"])
         assert hashlib.sha256(text.encode()).hexdigest() == digest, fid
+
+
+def test_wrong_d_is_a_witness_mismatch():
+    fam, form = _form("thm4_5")
+    rep = enumerate_S(form, grid=8, x_max=None)
+    for d, (a, b) in sorted(rep.witnesses.items())[:4]:
+        for wrong in (-d, 13 * d):
+            _, rec = densitylab._certify_one((fam, wrong, a, b, 10))
+            expected = '{"u0": "%s", "certified": false, "reason": "witness mismatch"}' % Fraction(a, b)
+            assert json.dumps(rec) == expected, (d, wrong)
+
+
+def test_internal_certify_errors_abort_the_census(monkeypatch):
+    monkeypatch.setattr(certify, "on_twist", lambda d, f, pt: False)
+    fam, form = _form("thm4_5")
+    rep = enumerate_S(form, grid=4, x_max=None)
+    with pytest.raises(CertifyError) as err:
+        certified_density(fam, rep)
+    assert err.value.check_name == "specialized-on-curve"
 
 
 def test_report_json_round_trip_fields():
