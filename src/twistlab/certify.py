@@ -105,9 +105,9 @@ def specialize(fam: TwistFamily, u0, d: int | None = None) -> SpecializedTwist:
     """Substitute a rational u0, clearing the square part of g(u0) into the
     y-coordinates so the twist constant is a squarefree integer.
 
-    A caller that already knows the squarefree part of g(u0), such as the
-    density sieve, passes it as d; it is used when g(u0)/d is a rational
-    square, and otherwise g(u0) is factored as when d is None.
+    A caller that has proved D squarefree, such as the density sieve, may
+    pass it as d: it is used when g(u0)/d is a rational square, without
+    factoring g(u0); otherwise g(u0) is factored as when d is None.
     """
     u0 = Fraction(u0)
     g_val = fam.g(u0)
