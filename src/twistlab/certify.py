@@ -253,14 +253,14 @@ def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
     """The first `how_many` primes above max(ELLS) of good reduction for the
     specialized curve whose points reduce to affine points (fewer if the
     small-prime table runs out), tested in table order."""
-    reductions = _reductions(spec.base.f)
+    f_mod_p = _reductions(spec.base.f)
     # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
     bad = spec.d
     for pt in spec.points:
         bad *= pt.x.denominator * pt.y.denominator
     primes = []
     for p in _SMALL_PRIMES:
-        if p > ELLS[-1] and bad % p and reductions[p]:
+        if p > ELLS[-1] and bad % p and f_mod_p[p]:
             primes.append(p)
             if len(primes) == how_many:
                 break
@@ -324,9 +324,9 @@ class SieveVerdict:
         }
 
 
-def _reduce_at(p: int, pts, d: int, reductions: _Reductions):
+def _reduce_at(p: int, pts, d: int, f_mod_p: _Reductions):
     """The curve mod p, its point count, and the reduced points."""
-    reduction = reductions[p] if p > ELLS[-1] and is_probable_prime(p) and d % p else None
+    reduction = f_mod_p[p] if p > ELLS[-1] and is_probable_prime(p) and d % p else None
     if reduction is None:
         raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
     e2, e1, e0, a_p = reduction
@@ -349,7 +349,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     for pt in pts:
         if not on_twist(d, f, pt):
             raise CertifyError("sieve-input", "sieve input point is not on the curve")
-    curve_mod_p = _reductions(f)
+    f_mod_p = _reductions(f)
     reductions = {}
     verdicts = []
     for ell in ELLS:
@@ -358,7 +358,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
         torsion = None
         for p in primes:
             if p not in reductions:
-                reductions[p] = _reduce_at(p, pts, d, curve_mod_p)
+                reductions[p] = _reduce_at(p, pts, d, f_mod_p)
             mc, order, reduced = reductions[p]
             if order % ell:
                 torsion = torsion or p
