@@ -74,8 +74,18 @@ INFINITY = CurvePoint(None, None)
 
 def on_twist(d: FieldElem, f: UniPoly, pt: CurvePoint) -> bool:
     """Exact test of d*y^2 == f(x) for d and the coordinates in Q or Q(u);
-    infinity is on every twist, and d itself is not checked."""
-    return pt.is_infinity or d * pt.y * pt.y == f(pt.x)
+    infinity is on every twist, and d itself is not checked.
+
+    Over Q(u), with d = dn/dd, x = xn/xd and y = yn/yd, the test is
+    dn*yn^2*xd^n == F(xn, xd)*dd*yd^2 in Q[u] for F the degree-n
+    homogenization of f, so no quotient is reduced."""
+    if pt.is_infinity:
+        return True
+    if not any(isinstance(v, RatFunc) for v in (d, pt.x, pt.y)):
+        return d * pt.y * pt.y == f(pt.x)
+    d, x, y = (v if isinstance(v, RatFunc) else RatFunc(v) for v in (d, pt.x, pt.y))
+    n = max(f.degree, 0)
+    return d.num * y.num * y.num * x.den ** n == f.eval_homog(x.num, x.den, n) * d.den * y.den * y.den
 
 
 @dataclass(frozen=True)

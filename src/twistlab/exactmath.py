@@ -136,12 +136,16 @@ class UniPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        # convolve over Z, then divide by the product of the two denominators
+        da, a = self._cleared()
+        db, b = other._cleared()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return UniPoly(Fraction(c, den) for c in out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -210,11 +214,39 @@ class UniPoly:
         return self if lc == 1 else UniPoly(c / lc for c in self.coeffs)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd by the Euclidean algorithm (gcd(0, 0) is 0)."""
+        """Monic gcd (gcd(0, 0) is 0), proved by a prime or found by Euclid.
+
+        Both inputs are cleared to Z[t] and reduced mod a prime p that divides
+        neither leading coefficient, so deg gcd_Q <= deg gcd_p.  Degree 0 mod
+        p proves the gcd is 1.  Otherwise each coefficient of the monic gcd
+        mod p is rebuilt as a fraction, and a candidate that divides both
+        inputs is gcd_Q: it divides gcd_Q, has at least its degree, and both
+        are monic.  When no prime gives a proved candidate, Euclid over Q
+        decides.
+        """
+        if self.is_zero() or other.is_zero():
+            rest = other if self.is_zero() else self
+            return rest if rest.is_zero() else rest.monic()
+        if self.is_constant() or other.is_constant():
+            return ONE
+        a, b = self._cleared()[1], other._cleared()[1]
+        for p, bound in _GCD_PRIMES:
+            if a[-1] % p == 0 or b[-1] % p == 0:
+                continue
+            g = _gcd_mod_p([c % p for c in a], [c % p for c in b], p)
+            if len(g) == 1:
+                return ONE
+            coeffs = [_rational_lift(c, p, bound) for c in g]
+            if None in coeffs:
+                continue
+            candidate = UniPoly(coeffs)
+            prim = candidate._cleared()[1]
+            if _divides_z(prim, a) and _divides_z(prim, b):
+                return candidate
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a if a.is_zero() else a.monic()
+        return a.monic()
 
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -230,19 +262,25 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
+    def _cleared(self) -> tuple[int, list[int]]:
+        """(L, [L*c for c in coeffs]) with L the least common denominator."""
+        den = 1
+        for c in self.coeffs:
+            if den % c.denominator:
+                den = den * c.denominator // _int_gcd(den, c.denominator)
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def _at(self, a: int, b: int) -> tuple[int, int]:
         """(N, M) with N/M the value at a/b for b > 0: the coefficients go
         over their common denominator L, Horner runs over the integers on
         (a, b), and M = L * b^degree."""
         if not self.coeffs:
             return 0, 1
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
+        den, ints = self._cleared()
         acc = 0
         bp = 1
-        for c in reversed(self.coeffs):
-            acc = acc * a + c.numerator * (den // c.denominator) * bp
+        for c in reversed(ints):
+            acc = acc * a + c * bp
             bp *= b
         return acc, den * bp // b
 
@@ -264,10 +302,7 @@ class UniPoly:
         """Write self = c * prim with prim in Z[t], content 1, positive leading coeff."""
         if self.is_zero():
             return Fraction(0), ZERO
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        ints = [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]
+        den_lcm, ints = self._cleared()
         g = 0
         for v in ints:
             g = _int_gcd(g, v)
@@ -318,6 +353,61 @@ class UniPoly:
 ZERO = UniPoly()
 ONE = UniPoly([1])
 T = UniPoly([0, 1])
+
+# The gcd's primes, each with its reconstruction bound isqrt(p / 2): a result
+# mod p rebuilds every fraction whose numerator and denominator are at most
+# the bound.  The 127-bit prime settles most pairs cheaply; monic gcds of the
+# families' polynomials reach 93-bit coefficients, which the 521-bit one
+# rebuilds.
+_GCD_PRIMES = tuple((p, isqrt(p // 2)) for p in (2 ** 127 - 1, 2 ** 521 - 1))
+
+
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd in F_p[t] of two coefficient lists (lowest degree first,
+    leading coefficients nonzero mod p), which it consumes."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop()
+            if c:
+                shift = len(a) - db
+                for i in range(db):
+                    a[shift + i] = (a[shift + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _rational_lift(r: int, p: int, bound: int) -> Fraction | None:
+    """The fraction n/d with n = d*r mod p and |n|, d <= bound, or None
+    (Wang's rational reconstruction by the half-extended Euclid)."""
+    r0, r1, s0, s1 = p, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def _divides_z(g: list[int], a: list[int]) -> bool:
+    """True when g divides a in Z[t], by long division that stops at the
+    first leading coefficient g's does not divide.  For a primitive g this is
+    division in Q[t] too (Gauss's lemma)."""
+    rem = list(a)
+    dg = len(g) - 1
+    lc = g[-1]
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        q, r = divmod(rem[shift + dg], lc)
+        if r:
+            return False
+        if q:
+            for i in range(dg):
+                rem[shift + i] -= q * g[i]
+    return not any(rem[:dg])
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +676,29 @@ def _prime_chunks() -> list[tuple[list[int], int]]:
 
 _PRIME_CHUNKS = _prime_chunks()
 
-# Deterministic Miller-Rabin witnesses: the first thirteen primes decide
-# primality for everything below psi_13 = 3.317e24 (the first twelve only
-# below psi_12 = 3.187e23; Sorenson and Webster, Math. Comp. 86, 2017); the
-# extended set is used above that as a safety margin for oversized inputs.
+# Deterministic Miller-Rabin witnesses: the first k primes decide primality
+# below psi_k, the least strong pseudoprime to all of them (Jaeschke, Math.
+# Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017).  Each n takes
+# the first tier whose bound exceeds it; the thirteen bases decide everything
+# below psi_13 = 3.317e24, and the extended set is used above that as a
+# safety margin for oversized inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_TIERS = (
+    (3_215_031_751, 4),  # psi_4
+    (2_152_302_898_747, 5),  # psi_5
+    (3_474_749_660_383, 6),  # psi_6
+    (341_550_071_728_321, 8),  # psi_7 = psi_8
+    (3_825_123_056_546_413_051, 11),  # psi_9 = psi_10 = psi_11
+    (318_665_857_834_031_151_167_461, 12),  # psi_12
+    (_MR_PROVEN_BOUND, 13),  # psi_13
+)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 3.317e24 (13 bases)."""
+    """Miller-Rabin primality test, deterministic below 3.317e24 (4 to 13
+    bases by the size of n)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:20]:
@@ -607,7 +709,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _MR_WITNESSES if n < _MR_PROVEN_BOUND else _MR_WITNESSES + _MR_EXTRA
+    witnesses = next((_MR_WITNESSES[:k] for bound, k in _MR_TIERS if n < bound), _MR_WITNESSES + _MR_EXTRA)
     for a in witnesses:
         if a % n == 0:
             continue

@@ -13,9 +13,11 @@ from twistlab.curves import (
     CurvePoint,
     Isogeny,
     TwistedCurve,
+    on_twist,
     three_isogeny,
     two_isogeny_quotient,
 )
+from twistlab.catalog import FAMILY_IDS, FamilySpec, build
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose
 
 
@@ -173,3 +175,27 @@ def test_isogeny_identity_enforced():
     iso = two_isogeny_quotient(curve)
     with pytest.raises(CurveError):
         Isogeny(iso.source, iso.target, iso.phi_x, iso.phi_y + RatFunc(ONE), 2)
+
+
+def test_on_twist_cross_multiplied_over_function_field():
+    # the test over Q(u) builds no reduced quotient; it must agree with the
+    # reduced d*y^2 == f(x) on every default family's points and reject a
+    # moved y or x
+    u = RatFunc(UniPoly([0, 1]))
+    for fid in FAMILY_IDS:
+        fam = build(FamilySpec.make(fid))
+        d, f = RatFunc(fam.g), fam.base.f
+        for pt in fam.points:
+            assert on_twist(d, f, pt) and d * pt.y * pt.y == compose(f, pt.x), fid
+            for moved in (CurvePoint(pt.x, pt.y + 1), CurvePoint(pt.x + u, pt.y)):
+                assert not on_twist(d, f, moved) and d * moved.y * moved.y != compose(f, moved.x), fid
+
+
+def test_on_twist_mixed_field_elements():
+    # Q(u) and Q elements together, and the Q path
+    f = upoly(0, -1, 0, 1)
+    pt = CurvePoint(RatFunc(upoly(0, 1)), Fraction(1))  # (u, 1)
+    assert on_twist(RatFunc(f), f, pt)
+    assert not on_twist(Fraction(1), f, pt)
+    assert on_twist(Fraction(2), f, CurvePoint(Fraction(-1), Fraction(0)))
+    assert not on_twist(Fraction(2), f, CurvePoint(Fraction(2), Fraction(1)))

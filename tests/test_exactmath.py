@@ -319,6 +319,57 @@ def test_miller_rabin_psi12():
     assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
 
 
+# psi_k for each base count k that is_probable_prime uses below psi_13
+PSI = {
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    8: 341_550_071_728_321,
+    11: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+}
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_miller_rabin_tiers_are_tight():
+    bases = exactmath._MR_WITNESSES
+    assert [k for _, k in exactmath._MR_TIERS][:-1] == list(PSI)
+    assert [bound for bound, _ in exactmath._MR_TIERS][:-1] == list(PSI.values())
+    for k, psi in PSI.items():
+        # psi_k fools the first k bases, so n = psi_k needs the next tier
+        assert all(_strong_probable_prime(psi, a) for a in bases[:k]), k
+        assert not _strong_probable_prime(psi, bases[k]), k
+        assert not is_probable_prime(psi), k
+        assert math.prod(p ** e for p, e in factorize(psi).items()) == psi
+    assert not is_probable_prime(exactmath._MR_PROVEN_BOUND)
+
+
+def test_primality_across_tiers():
+    rng = random.Random(2017)
+    # near each tier bound the tier's bases agree with all twenty-five
+    all_bases = exactmath._MR_WITNESSES + exactmath._MR_EXTRA
+    for bound, _ in exactmath._MR_TIERS:
+        for n in range(bound - 400, bound + 400):
+            if n % 2 and n % 3 and n % 5 and n % 7:
+                assert is_probable_prime(n) == all(_strong_probable_prime(n, a) for a in all_bases)
+    for _ in range(200):
+        n = rng.randrange(10 ** 6, 10 ** 7)
+        assert is_probable_prime(n) == all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def test_ratfunc_sqrt():
     square = RatFunc(upoly(1, 2, 1), upoly(0, 0, 9))
     assert ratfunc_sqrt(square) == RatFunc(upoly(1, 1), upoly(0, 3))
