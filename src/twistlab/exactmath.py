@@ -136,7 +136,6 @@ class UniPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        # convolve over Z, then divide by the product of the two denominators
         da, a = self._cleared()
         db, b = other._cleared()
         out = [0] * (len(a) + len(b) - 1)
