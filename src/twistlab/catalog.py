@@ -59,6 +59,11 @@ class FamilySpec:
     id: str
     params: dict[str, Fraction] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for violated, requirement in RECIPES[self.id].constraints:
+            if violated(self.params):
+                raise ConstraintError(f"{self.id} requires {requirement}")
+
     @staticmethod
     def make(family_id: str, params: dict | None = None) -> "FamilySpec":
         if family_id not in RECIPES:
@@ -68,15 +73,7 @@ class FamilySpec:
             if key not in merged:
                 raise ConstraintError(f"family {family_id} takes no parameter {key!r}")
             merged[key] = Fraction(value)
-        spec = FamilySpec(family_id, merged)
-        _check_constraints(spec)
-        return spec
-
-
-def _check_constraints(spec: FamilySpec):
-    for violated, requirement in RECIPES[spec.id].constraints:
-        if violated(spec.params):
-            raise ConstraintError(f"{spec.id} requires {requirement}")
+        return FamilySpec(family_id, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +559,6 @@ def _build(spec: FamilySpec, pipe: TwistFamily | None = None) -> TwistFamily:
 
 def build(spec: FamilySpec) -> TwistFamily:
     """The catalog family: displayed g and points where available."""
-    _check_constraints(spec)
     return _build(spec)
 
 
@@ -572,14 +568,12 @@ def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
     Families built without such identities (the double-cover route and the
     degree-3 tower base) return an empty list.
     """
-    _check_constraints(spec)
     identities = RECIPES[spec.id].identities
     return identities(spec.params)[1] if identities else []
 
 
 def build_pipeline(spec: FamilySpec) -> TwistFamily:
     """The same family re-derived through the construction pipeline."""
-    _check_constraints(spec)
     return _pipeline(spec)
 
 
@@ -662,7 +656,6 @@ def crosscheck(spec: FamilySpec) -> CrosscheckReport:
     share its x with a pipeline point rescaled onto the catalog twist.
     Discrepancies are itemized in the report, never silently passed.
     """
-    _check_constraints(spec)
     pipe = _pipeline(spec)
     cat = _build(spec, pipe)
     messages: list[str] = []

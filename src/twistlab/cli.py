@@ -1,8 +1,9 @@
 """Command-line front end: build, certify, specialize, and survey families.
 
-Exit codes: 0 on success, 1 on a mathematical check failure, 2 on usage
-errors.  `--json` prints machine-readable output on stdout; diagnostics go to
-stderr.  Output is deterministic for identical inputs.
+Exit codes: 0 on success, 1 on a mathematical check failure (a CheckError),
+2 on usage errors, malformed input and unreadable files.  `--json` prints
+machine-readable output on stdout; diagnostics go to stderr.  Output is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import os
 import sys
 
 from . import catalog, certify as certify_mod, densitylab, jsonio
-from .catalog import FamilySpec, ConstraintError
+from .catalog import FamilySpec
 from .certify import CertifyError
-from .curves import CurveError
-from .exactmath import ExactMathError, rat_from_str
-from .twistforge import ForgeError
+from .exactmath import CheckError, rat_from_str
 
 
 def _parse_params(text: str | None) -> dict:
@@ -43,7 +42,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text_lines: list[str]):
     if getattr(args, "json", False):
-        print(jsonio.dump_json(payload, compact=False))
+        print(jsonio.dump_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -128,11 +127,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_specialize(args) -> int:
     fam = _load_family(args.family)
-    try:
-        spec = certify_mod.specialize(fam, rat_from_str(args.u0))
-    except CertifyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    spec = certify_mod.specialize(fam, rat_from_str(args.u0))
     payload = spec.to_json()
     lines = [f"u0 = {args.u0}: D = {spec.d}"] + [
         f"P{i} = ({p.x}, {p.y})" for i, p in enumerate(spec.points, 1)
@@ -242,16 +237,10 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ForgeError, CertifyError, CurveError, ExactMathError, densitylab.DensityError) as exc:
+    except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # malformed fractions or parameter strings
+    except (OSError, ValueError) as exc:  # unreadable files, bad input, violated family constraints
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

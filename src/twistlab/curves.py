@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactmath import RatFunc, UniPoly, compose, discriminant_cubic, is_squarefree_int
+from .exactmath import CheckError, RatFunc, UniPoly, compose, discriminant_cubic, is_squarefree_int
 
 FieldElem = Union[Fraction, RatFunc]
 
 
-class CurveError(ValueError):
+class CurveError(CheckError, ValueError):
     """A curve, point, or isogeny violated one of its construction hypotheses."""
 
 

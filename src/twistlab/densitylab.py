@@ -23,6 +23,7 @@ from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization,
 from .exactmath import (
     ONE,
     SMALL_PRIME_BOUND,
+    CheckError,
     RatFunc,
     UniPoly,
     _SMALL_PRIMES,
@@ -35,7 +36,7 @@ from .jsonio import poly_from_json
 from .twistforge import TwistFamily
 
 
-class DensityError(ValueError):
+class DensityError(CheckError, ValueError):
     pass
 
 
@@ -359,8 +360,9 @@ def certified_density(
     prime_budget: int = DEFAULT_PRIME_BUDGET,
     threads: int = 1,
 ) -> DensityReport:
-    """Attach an independence verdict to every counted D; failures lower the
-    certified count but never abort."""
+    """Attach an independence verdict to every counted D.  A D whose u0 hits
+    a root of g or a pole of a point, or whose specialization gives another
+    D, is recorded as not certified; any other CertifyError aborts."""
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     jobs = [(fam, d, a, b, prime_budget) for d, (a, b) in sorted(report.witnesses.items())]

@@ -16,7 +16,11 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-class ExactMathError(ArithmeticError):
+class CheckError(Exception):
+    """A mathematical check failed: the command line exits 1 on any subclass."""
+
+
+class ExactMathError(CheckError, ArithmeticError):
     """Base error for exact-arithmetic violations (division by zero, bad degree...)."""
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .curves import CubicCurve, CurvePoint
-from .exactmath import RatFunc, UniPoly, rat_from_str, rat_to_str
+from .exactmath import ExactMathError, RatFunc, UniPoly, rat_from_str, rat_to_str
 from .twistforge import TwistFamily
 
 
@@ -81,7 +81,7 @@ def _field(d: dict, key: str, decode):
         return decode(d[key])
     except KeyError as exc:
         raise ValueError(f"family JSON field {key!r} lacks {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ExactMathError) as exc:
         raise ValueError(f"family JSON field {key!r} is malformed: {exc}") from None
 
 
@@ -102,8 +102,8 @@ def family_from_json(d) -> TwistFamily:
     )
 
 
-def dump_json(obj: dict, path=None, compact: bool = False) -> str:
-    text = json.dumps(obj, indent=None if compact else 2, sort_keys=True)
+def dump_json(obj: dict, path=None) -> str:
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -17,6 +17,7 @@ from typing import Sequence
 from .curves import CubicCurve, CurvePoint, Isogeny, TwistedCurve
 from .exactmath import (
     ONE,
+    CheckError,
     ExactMathError,
     RatFunc,
     UniPoly,
@@ -27,7 +28,7 @@ from .exactmath import (
 )
 
 
-class ForgeError(ValueError):
+class ForgeError(CheckError, ValueError):
     """A construction hypothesis failed (degenerate map, bad conic data...)."""
 
 
@@ -258,9 +259,6 @@ class TwistFamily:
     def curve(self) -> TwistedCurve:
         return TwistedCurve(self.base, RatFunc(self.g))
 
-    def genus_upper(self) -> int:
-        return genus_upper_bound(self.g)
-
 
 def genus_upper_bound(g: UniPoly) -> int:
     """Genus of s^2 = g(u) for squarefree g, which bounds the twist rank."""
@@ -285,7 +283,7 @@ def validate_family(fam: TwistFamily) -> list[str]:
             failures.append(f"nonconstant-x[{i}]")
     if fam.claimed_rank > len(fam.points):
         failures.append("claimed-rank-witnessed")
-    if fam.claimed_rank > fam.genus_upper():
+    if fam.claimed_rank > genus_upper_bound(fam.g):
         failures.append("claimed-rank-genus-bound")
     return failures
 

@@ -184,12 +184,16 @@ def test_sieve_rejects_bad_prime():
             mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
 
 
-def test_sieve_rejects_off_curve_point():
-    fam, spec = _spec_points()
-    fake = CurvePoint(spec.points[0].x + 1, spec.points[0].y)
+def test_specialize_rejects_off_curve_point():
+    # specialize is the one exact on-curve check of the points the sieve gets
+    fam = build(FamilySpec.make("thm4_5"))
+    pts = list(fam.points)
+    pts[1] = CurvePoint(pts[1].x + 1, pts[1].y)
+    tampered = TwistFamily(fam.base, fam.g, tuple(pts), fam.claimed_rank, fam.provenance)
     with pytest.raises(CertifyError) as err:
-        mod_p_relation_sieve((fake,), spec.d, fam.base.f, [53])
-    assert err.value.check_name == "sieve-input"
+        specialize(tampered, 2)
+    assert err.value.check_name == "specialized-on-curve"
+    assert "point 2" in str(err.value)
 
 
 def test_count_points_matches_brute_force():

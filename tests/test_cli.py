@@ -5,9 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from twistlab.catalog import FamilySpec, build
+from twistlab.catalog import ConstraintError, FamilySpec, build
+from twistlab.certify import BadPrimeError, CertifyError
 from twistlab.cli import run
+from twistlab.curves import CurveError
+from twistlab.densitylab import DensityError
+from twistlab.exactmath import CheckError, ExactMathError
 from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
+from twistlab.twistforge import ForgeError
 
 
 def _capture(capsys):
@@ -135,6 +140,13 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     _capture(capsys)
     assert run(["certify", "--family", str(tmp_path / "missing.json")]) == 2
     _capture(capsys)
+    # a directory where a file belongs is an unreadable input, not a failed check
+    assert run(["certify", "--family", str(tmp_path)]) == 2
+    _, err = _capture(capsys)
+    assert "error:" in err
+    assert run(["catalog-build", "--id", "thm4_5", "--out", str(tmp_path)]) == 2
+    _, err = _capture(capsys)
+    assert "error:" in err
     assert run(["catalog-build", "--id", "thm4_1", "--params", "a=1/0"]) == 2
     _capture(capsys)
     path = tmp_path / "fam.json"
@@ -160,6 +172,8 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         ({**good, "curve": {**good["curve"], "e1": -1}}, "'curve'"),
         ({**good, "points": [{"infinity": "no"}]}, "'infinity'"),
         ({**good, "points": [{"infinity": 1}]}, "'infinity'"),
+        ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": []}}]}, "'points'"),
+        ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": ["0"]}}]}, "'points'"),
     ):
         dump_json(bad, path=tmp_path / "bad.json")
         assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2, bad
@@ -197,6 +211,17 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
     _, err = _capture(capsys)
     assert "--threads" in err
+
+
+def test_check_errors_share_one_base():
+    # run exits 1 on a CheckError and 2 on any other ValueError
+    for cls in (ExactMathError, CurveError, ForgeError, CertifyError, DensityError):
+        assert issubclass(cls, CheckError), cls
+    assert issubclass(ExactMathError, ArithmeticError)
+    for cls in (CurveError, ForgeError, CertifyError, DensityError):
+        assert issubclass(cls, ValueError), cls
+    for cls in (ConstraintError, BadPrimeError):
+        assert issubclass(cls, ValueError) and not issubclass(cls, CheckError), cls
 
 
 def test_repeated_parameter_rejected(capsys):

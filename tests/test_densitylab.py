@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,20 @@ def test_internal_certify_errors_abort_the_census(monkeypatch):
     with pytest.raises(CertifyError) as err:
         certified_density(fam, rep)
     assert err.value.check_name == "specialized-on-curve"
+
+
+def test_each_specialized_point_is_checked_once(monkeypatch):
+    calls = Counter()
+    on_twist = certify.on_twist
+
+    def counting(d, f, pt):
+        calls[d, pt] += 1
+        return on_twist(d, f, pt)
+
+    monkeypatch.setattr(certify, "on_twist", counting)
+    fam, form = _form("thm4_5")
+    certified_density(fam, enumerate_S(form, grid=12, x_max=None), prime_budget=15)
+    assert calls and max(calls.values()) == 1
 
 
 def test_report_json_round_trip_fields():
