@@ -12,7 +12,6 @@ the sign of each point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -29,11 +28,10 @@ from .exactmath import (
     ratfunc_sqrt,
     square_class,
 )
-from .jsonio import family_from_json, poly_to_json
+from .jsonio import poly_to_json
 from .twistforge import (
     ConicPoint,
     ForgeError,
-    Mobius,
     TwistFamily,
     TwistIdentity,
     assemble_rank2,
@@ -42,6 +40,7 @@ from .twistforge import (
     conic_param_double,
     conic_param_single,
     conic_point_for,
+    mobius,
     mobius_from_triples,
     twist_from_isogeny,
     twist_from_permutation,
@@ -162,13 +161,13 @@ def _lambda_identities(lam: Fraction, *perms) -> tuple[UniPoly, list[TwistIdenti
 def _identities_cor3_2(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
     a, b = p["a"], p["b"]
     f = _f_two_torsion(a, b)
-    return f, [twist_from_permutation(f, Mobius(-b, 0, a, b))]  # swaps the two nonzero roots, fixes 0
+    return f, [twist_from_permutation(f, mobius(-b, 0, a, b))]  # swaps the two nonzero roots, fixes 0
 
 
 def _identities_cor3_3(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
     b, c = p["b"], p["c"]
     f = _f_three_subgroup(b, c)
-    mu = Mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
+    mu = mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
     return f, [twist_from_isogeny(f, three_isogeny(b, c), mu)]
 
 
@@ -176,7 +175,7 @@ def _identities_thm4_3(p: dict) -> tuple[UniPoly, list[TwistIdentity]]:
     a, b = p["a"], p["b"]
     f = UniPoly([0, a * a * b * b, -(b + a * a * b), 1])  # x (x - b) (x - a^2 b)
     q = a * a - 3 * a + 4
-    mu = Mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
+    mu = mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
     tid_iso = twist_from_isogeny(f, two_isogeny_quotient(CubicCurve(f)), mu)
     return f, [tid_iso] + _root_permutations(f, (0, b, a * a * b), (0, 2, 1))
 
@@ -575,21 +574,6 @@ def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
 def build_pipeline(spec: FamilySpec) -> TwistFamily:
     """The same family re-derived through the construction pipeline."""
     return _pipeline(spec)
-
-
-GOLDEN_VERSION = "v1"
-
-
-def golden_path(family_id: str):
-    """Path of the frozen pipeline output for families whose points are derived."""
-    from importlib.resources import files
-
-    return files("twistlab").joinpath("data", "golden", GOLDEN_VERSION, f"{family_id}.json")
-
-
-def load_golden(family_id: str) -> TwistFamily:
-    with golden_path(family_id).open() as fh:
-        return family_from_json(json.load(fh))
 
 
 def rem4_6_tower() -> tuple[TwistFamily, TwistFamily, TwistFamily]:

@@ -41,14 +41,18 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
-    if getattr(args, "json", False):
-        print(jsonio.dump_json(payload))
+    """Write --out first, so that a failed write prints nothing, then print
+    the payload as JSON under --json and as text lines otherwise."""
+    as_json = getattr(args, "json", False)
+    out_path = getattr(args, "out", None)
+    if as_json or out_path:
+        text = jsonio.dump_json(payload, path=out_path or None)
+    if as_json:
+        print(text)
     else:
         for line in text_lines:
             print(line)
-    out_path = getattr(args, "out", None)
     if out_path:
-        jsonio.dump_json(payload, path=out_path)
         print(f"wrote {out_path}", file=sys.stderr)
 
 

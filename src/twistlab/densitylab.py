@@ -27,6 +27,7 @@ from .exactmath import (
     RatFunc,
     UniPoly,
     _SMALL_PRIMES,
+    eval_form,
     factorize,
     rat_to_str,
     square_class,
@@ -47,16 +48,6 @@ def _to_int_poly(p: UniPoly) -> list[int]:
     c, prim = p.content_and_primitive()
     s = squarefree_part_int(c.numerator * c.denominator)
     return [s * int(v) for v in prim.coeffs]
-
-
-def _eval_homog(coeffs, a: int, b: int, degree: int) -> int:
-    """sum_i c_i a^i b^(degree - i) by Horner, exactly over the integers."""
-    acc = 0
-    bp = 1
-    for i in range(len(coeffs) - 1, -1, -1):
-        acc = acc * a + coeffs[i] * bp
-        bp *= b
-    return acc * b ** (degree - (len(coeffs) - 1))
 
 
 @dataclass(frozen=True)
@@ -82,12 +73,12 @@ class HomogForm:
         return sum(abs(c) for c in self.coeffs) * grid ** self.degree
 
     def evaluate(self, a: int, b: int) -> int:
-        return _eval_homog(self.coeffs, a, b, self.degree)
+        return eval_form(self.coeffs, a, b, self.degree)
 
     def squarefree_value(self, a: int, b: int) -> int | None:
         """Squarefree part of F(a, b), or None when F(a, b) = 0, from the
         factorization of every factor value."""
-        values = [_eval_homog(fc, a, b, len(fc) - 1) for fc in self.factor_coeffs]
+        values = [eval_form(fc, a, b, len(fc) - 1) for fc in self.factor_coeffs]
         if 0 in values:
             return None
         sign = -1 if sum(v < 0 for v in values) % 2 else 1
@@ -195,7 +186,7 @@ def _root_table(fc, primes) -> list[tuple[int, list[int], bool]]:
     each prime above x that divides the value."""
     roots = {p: [] for p in primes}
     for x in range(primes[-1]):
-        v = _eval_homog(fc, x, 1, len(fc) - 1)
+        v = eval_form(fc, x, 1, len(fc) - 1)
         for p in primes[bisect_right(primes, x):]:
             if v % p == 0:
                 roots[p].append(x)

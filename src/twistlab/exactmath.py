@@ -9,11 +9,13 @@ monic denominator.  Nothing here ever rounds.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class CheckError(Exception):
@@ -33,10 +35,13 @@ def rat_to_str(q: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse a rational string such as "3/4"; a zero denominator raises
-    ValueError like any bad literal, and a non-string raises TypeError."""
+    """Parse a rational in the one form rat_to_str writes, "n" or "n/d" in
+    decimal digits with an optional leading minus; any other string, or a
+    zero denominator, raises ValueError, and a non-string raises TypeError."""
     if not isinstance(s, str):
         raise TypeError(f"a rational must be a string such as \"3/4\", not {type(s).__name__}")
+    if not _RAT_RE.fullmatch(s):
+        raise ValueError(f"not a rational of the form n or n/d: {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -49,6 +54,16 @@ def _as_rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def eval_form(coeffs, a: int, b: int, degree: int) -> int:
+    """sum_i c_i a^i b^(degree - i) by Horner, exactly over the integers."""
+    acc = 0
+    bp = 1
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = acc * a + coeffs[i] * bp
+        bp *= b
+    return acc * b ** (degree - (len(coeffs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +270,11 @@ class UniPoly:
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; x may be a scalar, UniPoly, or RatFunc."""
+        """Evaluate at a rational x exactly, or compose with a RatFunc x."""
         if isinstance(x, RatFunc):
             return compose(self, x)
-        if isinstance(x, (int, Fraction)):
-            return Fraction(*self._at(x.numerator, x.denominator))
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = _as_rat(x)
+        return Fraction(*self._at(x.numerator, x.denominator))
 
     def _cleared(self) -> tuple[int, list[int]]:
         """(L, [L*c for c in coeffs]) with L the least common denominator."""
@@ -274,18 +285,13 @@ class UniPoly:
         return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def _at(self, a: int, b: int) -> tuple[int, int]:
-        """(N, M) with N/M the value at a/b for b > 0: the coefficients go
-        over their common denominator L, Horner runs over the integers on
+        """(N, M) with N/M the value at a/b for b > 0: N is the form of the
+        coefficients cleared to their common denominator L, evaluated at
         (a, b), and M = L * b^degree."""
         if not self.coeffs:
             return 0, 1
         den, ints = self._cleared()
-        acc = 0
-        bp = 1
-        for c in reversed(ints):
-            acc = acc * a + c * bp
-            bp *= b
-        return acc, den * bp // b
+        return eval_form(ints, a, b, self.degree), den * b ** self.degree
 
     def eval_homog(self, p: "UniPoly", q: "UniPoly", n: int) -> "UniPoly":
         """Homogenized evaluation sum_i c_i p^i q^(n-i) for n >= degree."""

@@ -33,79 +33,31 @@ class ForgeError(CheckError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Moebius transformations
+# Moebius transformations: degree-1 rational functions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mobius:
-    """t -> (a*t + b)/(c*t + d) with nonzero determinant.
-
-    Stored in canonical scaling: the first nonzero entry of (a, b, c, d) is 1.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        a, b, c, d = (Fraction(v) for v in (self.a, self.b, self.c, self.d))
-        if a * d - b * c == 0:
-            raise ForgeError("Moebius map needs nonzero determinant")
-        for v in (a, b, c, d):
-            if v != 0:
-                a, b, c, d = a / v, b / v, c / v, d / v
-                break
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def is_linear_poly(self) -> bool:
-        """True when the map is a polynomial a*t + b (no pole), the degenerate case."""
-        return self.c == 0
-
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(UniPoly([self.b, self.a]), UniPoly([self.d, self.c]))
-
-    def apply(self, x: Fraction) -> Fraction | None:
-        """Image of a rational point; None encodes infinity."""
-        num = self.a * x + self.b
-        den = self.c * x + self.d
-        if den == 0:
-            return None
-        return num / den
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other: (self . other)(t) = self(other(t))."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
+def mobius(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> RatFunc:
+    """t -> (a*t + b)/(c*t + d), which needs a nonzero determinant."""
+    if a * d - b * c == 0:
+        raise ForgeError("Moebius map needs nonzero determinant")
+    return RatFunc(UniPoly([b, a]), UniPoly([d, c]))
 
 
-def _three_point_map(x1: Fraction, x2: Fraction, x3: Fraction) -> Mobius:
-    # the unique map sending (x1, x2, x3) to (0, 1, infinity)
-    return Mobius(x2 - x3, -x1 * (x2 - x3), x2 - x1, -x3 * (x2 - x1))
-
-
-def mobius_from_triples(src: Sequence[Fraction], dst: Sequence[Fraction]) -> Mobius:
+def mobius_from_triples(src: Sequence[Fraction], dst: Sequence[Fraction]) -> RatFunc:
     """The unique Moebius map with src[i] -> dst[i] for three distinct points each."""
     src = [Fraction(v) for v in src]
     dst = [Fraction(v) for v in dst]
     if len(src) != 3 or len(dst) != 3 or len(set(src)) != 3 or len(set(dst)) != 3:
         raise ForgeError("mobius_from_triples needs two triples of distinct values")
-    h = _three_point_map(*dst).inverse().compose(_three_point_map(*src))
-    for s, t in zip(src, dst):
-        if h.apply(s) != t:
-            raise ExactMathError("Moebius interpolation failed verification")
+    x1, x2, x3 = src
+    y1, y2, y3 = dst
+    # src -> (0, 1, infinity), then the inverse of dst -> (0, 1, infinity)
+    to_std = mobius(x2 - x3, -x1 * (x2 - x3), x2 - x1, -x3 * (x2 - x1))
+    from_std = mobius(-y3 * (y2 - y1), y1 * (y2 - y3), y1 - y2, y2 - y3)
+    h = from_std.compose(to_std)
+    if any(h.evaluate(s) != t for s, t in zip(src, dst)):
+        raise ExactMathError("Moebius interpolation failed verification")
     return h
 
 
@@ -130,43 +82,44 @@ class TwistIdentity:
             raise ForgeError("twist identity f(h) = k*f*j^2 failed symbolic verification")
 
 
-def _check_root_transport(f: UniPoly, target: UniPoly, m: Mobius, what: str):
-    """Verify that m carries the root set of f onto the root set of target.
+def _transport(f: UniPoly, target: UniPoly, h: RatFunc, what: str) -> RatFunc:
+    """target(h(t)), once h is verified to carry the root set of f onto the
+    root set of target.
 
-    Operationally: target(m(t)) must reduce to const * f(t) / (t + delta)^3,
-    i.e. the reduced numerator of target(m(t)) is a constant multiple of f.
+    Operationally: target(h(t)) must reduce to const * f(t) / (t + delta)^3,
+    i.e. its reduced numerator is a constant multiple of f.  A rational
+    function of any degree but 1 gives a numerator of degree other than 3.
     """
-    composed = compose(target, m.as_ratfunc())
+    composed = compose(target, h)
     num = composed.num
     if num.degree != 3 or num.monic() != f.monic():
         raise ForgeError(f"Moebius map does not carry the roots of f to the roots of {what}")
+    return composed
 
 
-def twist_from_permutation(f: UniPoly, h: Mobius) -> TwistIdentity:
+def twist_from_permutation(f: UniPoly, h: RatFunc) -> TwistIdentity:
     """Twist identity from a Moebius map permuting the root set of f.
 
     Raises if h is a linear polynomial (the factorization degenerates there)
     or if h does not actually permute the roots.
     """
-    if h.is_linear_poly:
+    if h.den.is_constant():
         raise ForgeError("root permutation realized by a linear polynomial is excluded")
-    _check_root_transport(f, f, h, "f")
-    hr = h.as_ratfunc()
-    k, j = square_class(compose(f, hr) / RatFunc(f))
+    k, j = square_class(_transport(f, f, h, "f") / RatFunc(f))
     if k.degree != 1:
         raise ForgeError("expected a linear square-class factor from a root permutation")
-    return TwistIdentity(f, hr, k, j)
+    return TwistIdentity(f, h, k, j)
 
 
-def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: Mobius) -> TwistIdentity:
-    """Twist identity from h = phi_x(mu(t)), with mu carrying roots of f to the
-    roots of the isogeny's source cubic."""
+def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: RatFunc) -> TwistIdentity:
+    """Twist identity from h = phi_x(mu(t)), with the Moebius map mu carrying
+    the roots of f to the roots of the isogeny's source cubic."""
     if f != iso.target.f:
         raise ForgeError("isogeny target cubic must equal f")
-    if mu.is_linear_poly:
+    if mu.den.is_constant():
         raise ForgeError("root transport by a linear polynomial is excluded")
-    _check_root_transport(f, iso.source.f, mu, "the isogeny source cubic")
-    h = iso.phi_x.compose(mu.as_ratfunc())
+    _transport(f, iso.source.f, mu, "the isogeny source cubic")
+    h = iso.phi_x.compose(mu)
     k, j = square_class(compose(f, h) / RatFunc(f))
     if k.degree != 1:
         raise ForgeError("expected a linear square-class factor from the isogeny route")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,6 @@ from twistlab.catalog import (
     build,
     build_pipeline,
     crosscheck,
-    golden_path,
-    load_golden,
     rem4_6_tower,
     twist_identities,
 )
@@ -27,7 +26,7 @@ from twistlab.certify import certify_family
 from twistlab.cli import run
 from twistlab.curves import CurvePoint
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
-from twistlab.jsonio import dump_json, family_to_json
+from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
 from twistlab.twistforge import TwistFamily, genus_upper_bound, validate_family
 
 F = Fraction
@@ -344,6 +343,18 @@ def test_thm4_5_identity_k_displays():
     # the displayed pair is (6t+2, -6t+2); the first carries a sign slip in
     # print, the honest classes are -(6t+2) and -6t+2
     assert ks == {upoly(-2, -6), upoly(2, -6)}
+
+
+GOLDEN_VERSION = "v1"
+
+
+def golden_path(family_id: str) -> Path:
+    """Path of the frozen pipeline output for families whose points are derived."""
+    return Path(__file__).parent / "golden" / GOLDEN_VERSION / f"{family_id}.json"
+
+
+def load_golden(family_id: str) -> TwistFamily:
+    return family_from_json(load_json(golden_path(family_id)))
 
 
 def test_golden_files_frozen():

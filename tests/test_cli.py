@@ -145,8 +145,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     _, err = _capture(capsys)
     assert "error:" in err
     assert run(["catalog-build", "--id", "thm4_5", "--out", str(tmp_path)]) == 2
-    _, err = _capture(capsys)
+    out, err = _capture(capsys)
     assert "error:" in err
+    assert out == ""  # --out is written before anything is printed
     assert run(["catalog-build", "--id", "thm4_1", "--params", "a=1/0"]) == 2
     _capture(capsys)
     path = tmp_path / "fam.json"
@@ -155,6 +156,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(["specialize", "--family", str(path), "--u0", "1/0"]) == 2
     _, err = _capture(capsys)
     assert "zero denominator" in err
+    assert run(["specialize", "--family", str(path), "--u0", "1e3"]) == 2
+    _, err = _capture(capsys)
+    assert "'1e3'" in err
     payload = load_json(path)
     del payload["curve"]["e0"]
     good = load_json(path)

@@ -109,6 +109,15 @@ def test_ratfunc_compose_chain():
     assert chained == RatFunc(upoly(1, 1), upoly(1, 2))
 
 
+def test_evaluation_is_exact():
+    p = upoly(Fraction(1, 2), 0, 3)
+    assert p(Fraction(-2, 3)) == Fraction(1, 2) + 3 * Fraction(4, 9)
+    assert p(0) == Fraction(1, 2) and ZERO(Fraction(5, 7)) == 0
+    assert exactmath.eval_form([1, 2, 3], 2, 5, 4) == 5 ** 4 + 2 * 2 * 5 ** 3 + 3 * 4 * 5 ** 2
+    with pytest.raises(TypeError):
+        UniPoly([1, 2])(0.5)  # a float would round
+
+
 # -- squarefree structure ------------------------------------------------------
 
 
@@ -380,7 +389,7 @@ def test_ratfunc_sqrt():
 def test_rat_string_round_trip():
     for s in ("3/4", "-29274", "0", "22/7"):
         assert rat_to_str(rat_from_str(s)) == s
-    for bad in ("1/0", "zebra"):
+    for bad in ("1/0", "zebra", "1e3", "1.5", " 3/4", "1_000"):
         with pytest.raises(ValueError):
             rat_from_str(bad)
     for not_a_string in (3, 0.1, True, None, ["3/4"]):

@@ -11,7 +11,6 @@ from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.twistforge import (
     ConicPoint,
     ForgeError,
-    Mobius,
     TwistIdentity,
     assemble_rank2,
     assemble_rank3,
@@ -19,6 +18,7 @@ from twistlab.twistforge import (
     conic_param_single,
     conic_point_for,
     genus_upper_bound,
+    mobius,
     mobius_from_triples,
     twist_from_isogeny,
     twist_from_permutation,
@@ -34,7 +34,7 @@ F = Fraction
 def test_mobius_identity_assignment():
     lam = F(-2)
     h = mobius_from_triples((0, 1, lam), (0, 1, lam))
-    assert h.as_ratfunc() == RatFunc(upoly(0, 1))
+    assert h == RatFunc(upoly(0, 1))
 
 
 def test_mobius_swap_matches_display():
@@ -42,30 +42,19 @@ def test_mobius_swap_matches_display():
     lam = F(-2)
     h = mobius_from_triples((0, 1, lam), (1, 0, lam))
     expected = RatFunc(upoly(-lam * lam, lam * lam), upoly(-lam * lam, 2 * lam - 1))
-    assert h.as_ratfunc() == expected
+    assert h == expected
 
 
 def test_mobius_for_degree12_pair():
     h = mobius_from_triples((0, 1, -1), (-1, 0, 1))
-    assert h.as_ratfunc() == RatFunc(upoly(-1, 1), upoly(1, 3))  # (t-1)/(3t+1)
+    assert h == RatFunc(upoly(-1, 1), upoly(1, 3))  # (t-1)/(3t+1)
 
 
 def test_mobius_rejects_repeats():
     with pytest.raises(ForgeError):
         mobius_from_triples((0, 0, 1), (0, 1, 2))
     with pytest.raises(ForgeError):
-        Mobius(1, 2, 2, 4)  # zero determinant
-
-
-def test_mobius_compose_inverse():
-    h = Mobius(-2, 0, 1, 2)
-    ident = h.compose(h.inverse())
-    assert ident.as_ratfunc() == RatFunc(upoly(0, 1))
-
-
-def test_mobius_canonical_scaling():
-    h = Mobius(F(4), 0, F(2), F(8))
-    assert (h.a, h.b, h.c, h.d) == (1, 0, F(1, 2), 2)
+        mobius(1, 2, 2, 4)  # zero determinant
 
 
 # -- twist identities ----------------------------------------------------------
@@ -103,13 +92,13 @@ def test_identity_permutation_rejected():
 def test_non_permutation_rejected():
     f = upoly(0, -1, 0, 1)
     with pytest.raises(ForgeError):
-        twist_from_permutation(f, Mobius(0, 1, 1, 1))  # 1/(t+1) moves the roots off the set
+        twist_from_permutation(f, mobius(0, 1, 1, 1))  # 1/(t+1) moves the roots off the set
 
 
 def test_isogeny_identity_degree3():
     b, c = F(3), F(1)
     f = upoly(c, b, b * b / (4 * c), 1)
-    mu = Mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
+    mu = mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
     tid = twist_from_isogeny(f, three_isogeny(b, c), mu)
     assert same_square_class(tid.k, upoly(-3 * c * c, -2 * b * c))  # -c(2bt + 3c)
     assert tid.k.degree == 1
@@ -119,7 +108,7 @@ def test_isogeny_identity_degree2():
     a, b = F(2), F(1)
     f = upoly(0, a * a * b * b, -(b + a * a * b), 1)
     q = a * a - 3 * a + 4
-    mu = Mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
+    mu = mobius(a * (a + 1) * (a - 1) ** 2 * b, -a * (a + 1) * (a - 1) ** 2 * b * b, -q, a * (a + 1) * b)
     tid = twist_from_isogeny(f, two_isogeny_quotient(CubicCurve(f)), mu)
     k_display = upoly(-a * (a + 1) * b, q) * ((a - 1) * a * b)
     assert same_square_class(tid.k, k_display)
@@ -130,13 +119,23 @@ def test_isogeny_route_rejects_linear_mu():
     f = upoly(0, a * a * b * b, -(b + a * a * b), 1)
     iso = two_isogeny_quotient(CubicCurve(f))
     with pytest.raises(ForgeError):
-        twist_from_isogeny(f, iso, Mobius(1, 0, 0, 1))
+        twist_from_isogeny(f, iso, mobius(1, 0, 0, 1))
+
+
+def test_degree_two_map_rejected():
+    h = RatFunc(upoly(0, 0, 1), upoly(1, 1))  # t^2/(t+1)
+    with pytest.raises(ForgeError):
+        twist_from_permutation(upoly(0, -1, 0, 1), h)
+    a, b = F(2), F(1)
+    f = upoly(0, a * a * b * b, -(b + a * a * b), 1)
+    with pytest.raises(ForgeError):
+        twist_from_isogeny(f, two_isogeny_quotient(CubicCurve(f)), h)
 
 
 def test_isogeny_route_rejects_wrong_cubic():
     f_other = upoly(0, -1, 0, 1)
     iso = two_isogeny_quotient(CubicCurve(upoly(0, 4, -5, 1)))
-    mu = Mobius(1, 0, 1, 1)
+    mu = mobius(1, 0, 1, 1)
     with pytest.raises(ForgeError):
         twist_from_isogeny(f_other, iso, mu)
 
@@ -223,7 +222,7 @@ def test_conic_point_for_requires_squares():
 def test_assemble_rank2_reproduces_display_class():
     a, b = F(1), F(2)
     f = upoly(0, b, a, 1)
-    tid = twist_from_permutation(f, Mobius(-b, 0, a, b))
+    tid = twist_from_permutation(f, mobius(-b, 0, a, b))
     par = conic_param_single(upoly(-b * b, -a * b))
     fam = assemble_rank2(f, tid, par)
     display = upoly(b * b, 0, 1) * upoly(b ** 4, 0, 2 * b * b - a * a * b, 0, 1) * (-a * b)
@@ -251,7 +250,7 @@ def test_assemble_rank3_reproduces_display():
 def test_assemble_rejects_foreign_identity():
     f = upoly(0, -1, 0, 1)
     other = upoly(0, 2, 1, 1)
-    tid = twist_from_permutation(other, Mobius(-2, 0, 1, 2))
+    tid = twist_from_permutation(other, mobius(-2, 0, 1, 2))
     par = conic_param_single(upoly(-4, -2))
     with pytest.raises(ForgeError):
         assemble_rank2(f, tid, par)
