@@ -9,7 +9,6 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import catalog, certify as certify_mod, densitylab, jsonio
@@ -223,12 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=_positive_int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.environ.get("TWISTLAB_THREADS", "1"),
-        help="worker processes for certification (default: TWISTLAB_THREADS or 1)",
-    )
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for certification")
     p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")
     add_common(p)
     p.set_defaults(func=_cmd_density)

@@ -281,7 +281,7 @@ def enumerate_S(
     form: HomogForm,
     grid: int,
     modulus: int = 1,
-    x_max: int | None = 10 ** 6,
+    x_max: int | None = None,
     family: str = "",
 ) -> DensityReport:
     """Collect squarefree parts over the coprime grid a, b in [1, grid] with

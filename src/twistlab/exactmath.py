@@ -557,8 +557,9 @@ def compose(f: UniPoly, h) -> RatFunc:
 def squarefree_decompose(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     """Yun decomposition p = content * prod f_i^(m_i), f_i monic, squarefree, coprime.
 
-    Returns (content, [(f_i, m_i)...]) with the trivial factors omitted; the
-    result is re-expanded and checked against p before returning.
+    Returns (content, [(f_i, m_i)...]) with the trivial factors omitted.  The
+    result is not re-expanded here: `square_class`, its one caller in the
+    library, re-expands its own k * j^2, which proves this equation too.
     """
     if p.is_zero():
         raise ExactMathError("zero polynomial has no squarefree decomposition")
@@ -580,11 +581,6 @@ def squarefree_decompose(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]
         c = d / a
         d = c - b.derivative()
         i += 1
-    check = ONE
-    for f, m in factors:
-        check = check * f ** m
-    if check * content != p:
-        raise ExactMathError("squarefree decomposition failed re-expansion check")
     return content, factors
 
 
@@ -610,9 +606,7 @@ def square_class(r) -> tuple[UniPoly, RatFunc]:
     c2, prim = k0.content_and_primitive()
     c = content * c2
     d_int = squarefree_part_int(c.numerator * c.denominator)
-    w = rational_sqrt(c / d_int)
-    if w is None:  # pragma: no cover - c/d_int is a square by construction
-        raise ExactMathError("square-class constant normalization failed")
+    w = rational_sqrt(c / d_int)  # a square by construction
     k = prim * d_int
     j = (RatFunc(s, r.den) * w).sign_normalized()
     if RatFunc(k) * j * j != r:

@@ -10,13 +10,12 @@ the tautological point at x = t(u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .curves import CubicCurve, CurvePoint, Isogeny, TwistedCurve
 from .exactmath import (
-    ONE,
     CheckError,
     ExactMathError,
     RatFunc,
@@ -68,18 +67,23 @@ def mobius_from_triples(src: Sequence[Fraction], dst: Sequence[Fraction]) -> Rat
 
 @dataclass(frozen=True)
 class TwistIdentity:
-    """Certified identity compose(f, h) == k * f * j^2 with k squarefree."""
+    """The identity compose(f, h) == k * f * j^2, with k squarefree linear.
+
+    k and j are derived here by `square_class`, whose re-expansion check
+    proves k * j^2 == f(h)/f; no caller supplies them.
+    """
 
     f: UniPoly
     h: RatFunc
-    k: UniPoly
-    j: RatFunc
+    k: UniPoly = field(init=False)
+    j: RatFunc = field(init=False)
 
     def __post_init__(self):
-        if not self.k.is_squarefree():
-            raise ForgeError("twist identity factor k must be squarefree")
-        if compose(self.f, self.h) != RatFunc(self.k * self.f) * self.j * self.j:
-            raise ForgeError("twist identity f(h) = k*f*j^2 failed symbolic verification")
+        k, j = square_class(compose(self.f, self.h) / RatFunc(self.f))
+        if k.degree != 1:
+            raise ForgeError("twist identity f(h) = k*f*j^2 needs a linear square-class factor k")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
 
 
 def _transport(f: UniPoly, target: UniPoly, h: RatFunc, what: str) -> RatFunc:
@@ -105,10 +109,8 @@ def twist_from_permutation(f: UniPoly, h: RatFunc) -> TwistIdentity:
     """
     if h.den.is_constant():
         raise ForgeError("root permutation realized by a linear polynomial is excluded")
-    k, j = square_class(_transport(f, f, h, "f") / RatFunc(f))
-    if k.degree != 1:
-        raise ForgeError("expected a linear square-class factor from a root permutation")
-    return TwistIdentity(f, h, k, j)
+    _transport(f, f, h, "f")
+    return TwistIdentity(f, h)
 
 
 def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: RatFunc) -> TwistIdentity:
@@ -119,11 +121,7 @@ def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: RatFunc) -> TwistIdentity:
     if mu.den.is_constant():
         raise ForgeError("root transport by a linear polynomial is excluded")
     _transport(f, iso.source.f, mu, "the isogeny source cubic")
-    h = iso.phi_x.compose(mu)
-    k, j = square_class(compose(f, h) / RatFunc(f))
-    if k.degree != 1:
-        raise ForgeError("expected a linear square-class factor from the isogeny route")
-    return TwistIdentity(f, h, k, j)
+    return TwistIdentity(f, iso.phi_x.compose(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +148,17 @@ def conic_point_for(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicPoint:
     return ConicPoint(t0, r0, s0)
 
 
-def _require_square_after(k: UniPoly, t_of_u: RatFunc):
-    kk, _ = square_class(compose(k, t_of_u))
-    if kk != ONE:
-        raise ExactMathError("substitution failed to make k(t(u)) a perfect square")
-
-
 def conic_param_single(k: UniPoly) -> RatFunc:
-    """The t(u) making k(t(u)) = u^2 for linear k."""
+    """The t(u) making k(t(u)) = u^2 for linear k.
+
+    k(t(u)) = u^2 holds identically, so nothing is re-checked here: the
+    assembly's `ratfunc_sqrt` proves the square it uses, and
+    `checked_family` proves every point.
+    """
     if k.degree != 1:
         raise ForgeError("conic_param_single needs a linear factor")
     m, c = k.coeff(1), k.coeff(0)
-    t_of_u = RatFunc(UniPoly([-c / m, 0, 1 / m]))
-    _require_square_after(k, t_of_u)
-    return t_of_u
+    return RatFunc(UniPoly([-c / m, 0, 1 / m]))
 
 
 def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> RatFunc:
@@ -171,7 +166,11 @@ def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> RatFunc:
     linear k1, k2, using chords of slope u through the supplied rational point.
 
     Eliminating t via k1 turns the pair into the conic s^2 = alpha*r^2 + beta;
-    the returned t(u) has degree at most 4 and makes both k_i(t(u)) squares.
+    the returned t(u) has degree at most 4 and makes both k_i(t(u)) squares:
+    k1(t(u)) = r(u)^2 and k2(t(u)) = (s0 + u*w)^2 for the chord r = r0 + w.
+    These hold identically once the checks below pass, so they are not
+    re-checked here: the assembly's `ratfunc_sqrt` proves the squares it
+    uses, and `checked_family` proves every point.
     """
     if k1.degree != 1 or k2.degree != 1:
         raise ForgeError("conic_param_double needs two linear factors")
@@ -189,8 +188,6 @@ def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> RatFunc:
     t_of_u = (r_of_u * r_of_u - c1) / m1
     if t_of_u.is_constant():
         raise ForgeError("degenerate conic parametrization (constant t(u))")
-    _require_square_after(k1, t_of_u)
-    _require_square_after(k2, t_of_u)
     return t_of_u
 
 

@@ -12,13 +12,14 @@ from conftest import upoly
 from twistlab import catalog, certify
 from twistlab.catalog import FamilySpec, build, crosscheck, rem4_6_tower
 from twistlab.certify import (
+    ELLS,
     BadPrimeError,
     CertifyError,
     RankCertificate,
     SpecializedTwist,
     _count_points,
+    _ell_row,
     _mod_frac,
-    _ModCurve,
     automorphism_classification,
     certify_family,
     genus_upper_bound,
@@ -196,6 +197,19 @@ def test_specialize_rejects_off_curve_point():
     assert "point 2" in str(err.value)
 
 
+def test_ell_row_rejects_a_wrong_point_count():
+    # a count off by ell keeps ell | order but sends the points outside E[ell]
+    fam, spec = _spec_points()
+    for p in good_primes(spec, 20):
+        mc, order, reduced = certify._reduce_at(p, spec.points, spec.d, certify._reductions(fam.base.f))
+        for ell in ELLS:
+            if order % ell == 0 and order % (ell * ell):
+                assert len(_ell_row(mc, order, ell, reduced)) == len(reduced)
+                with pytest.raises(CertifyError) as err:
+                    _ell_row(mc, order + ell, ell, reduced)
+                assert err.value.check_name == "point-count"
+
+
 def test_count_points_matches_brute_force():
     # one a_p per prime, and D from both square classes mod p
     fam, spec = _spec_points()
@@ -205,7 +219,7 @@ def test_count_points_matches_brute_force():
         e2, e1, e0, a_p = certify._reductions(f)[p]
         traces.append(a_p)
         f_mod_p = [_mod_frac(f(F(x)), p) for x in range(p)]
-        assert f_mod_p == [_ModCurve(p, 1, e2, e1, e0).f_at(x) for x in range(p)]
+        assert f_mod_p == [(((x + e2) * x + e1) * x + e0) % p for x in range(p)]
         nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
         for d in (spec.d, 1, -1, 5, 77, nonresidue, -nonresidue):
             if d % p == 0:

@@ -70,6 +70,17 @@ def test_certify_corrupted_point_exits_1(capsys, tmp_path):
     assert "on-curve[1]" in out + err
 
 
+def test_certify_point_at_infinity_exits_1(capsys, tmp_path):
+    # a well-formed point at infinity parses, then fails the family check
+    payload = family_to_json(build(FamilySpec.make("thm4_5")))
+    payload["points"][1] = {"infinity": True}
+    path = tmp_path / "inf.json"
+    dump_json(payload, path=path)
+    assert run(["certify", "--family", str(path), "--json"]) == 1
+    out, _ = _capture(capsys)
+    assert json.loads(out)["failed_check"] == "nonconstant-x[2]"
+
+
 def test_certify_rejects_wrong_provenance_degree(capsys, tmp_path):
     payload = family_to_json(build(FamilySpec.make("thm4_5")))
     for degree in (-3, "12", True):
@@ -110,6 +121,19 @@ def test_density_cli_end_to_end(capsys, tmp_path):
         assert abs(int(d_str)) < 1000000
 
 
+def test_density_no_witnesses_drops_only_the_witnesses(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    run(["catalog-build", "--id", "thm4_5", "--out", str(path), "--json"])
+    _capture(capsys)
+    argv = ["density", "--family", str(path), "--grid", "5", "--certify", "--json"]
+    assert run(argv) == 0
+    full = json.loads(_capture(capsys)[0])
+    assert run(argv + ["--no-witnesses"]) == 0
+    lean = json.loads(_capture(capsys)[0])
+    assert full["witnesses"] and full["certifications"]
+    assert lean == {k: v for k, v in full.items() if k not in ("witnesses", "certifications")}
+
+
 def test_forge_commands(capsys, tmp_path):
     assert run(["forge-rank3", "--id", "thm4_5", "--json"]) == 0
     _capture(capsys)
@@ -125,7 +149,7 @@ def test_crosscheck_cli(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_usage_errors(capsys, tmp_path, monkeypatch):
+def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["catalog-build", "--id", "thm4_5", "--frobnicate"])
     assert exc.value.code == 2
@@ -176,6 +200,7 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         ({**good, "curve": {**good["curve"], "e1": -1}}, "'curve'"),
         ({**good, "points": [{"infinity": "no"}]}, "'infinity'"),
         ({**good, "points": [{"infinity": 1}]}, "'infinity'"),
+        ({**good, "points": [{"infinity": False}]}, "'infinity'"),
         ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": []}}]}, "'points'"),
         ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": ["0"]}}]}, "'points'"),
     ):
@@ -206,15 +231,6 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert exc.value.code == 2
         _, err = _capture(capsys)
         assert "error:" in err
-    # a bad TWISTLAB_THREADS fails only the command that reads it
-    monkeypatch.setenv("TWISTLAB_THREADS", "abc")
-    assert run(["catalog-list"]) == 0
-    _capture(capsys)
-    with pytest.raises(SystemExit) as exc:
-        run(density)
-    assert exc.value.code == 2
-    _, err = _capture(capsys)
-    assert "--threads" in err
 
 
 def test_check_errors_share_one_base():
@@ -233,6 +249,13 @@ def test_repeated_parameter_rejected(capsys):
     _, err = _capture(capsys)
     assert "'a'" in err
     assert run(["catalog-build", "--id", "cor3_2", "--params", "a=3,b=2"]) == 0
+    plain, _ = _capture(capsys)
+    # an empty piece is skipped; a piece without '=' is a usage error
+    assert run(["catalog-build", "--id", "cor3_2", "--params", "a=3,b=2,"]) == 0
+    assert _capture(capsys)[0] == plain
+    assert run(["catalog-build", "--id", "cor3_2", "--params", "a"]) == 2
+    _, err = _capture(capsys)
+    assert "name=value" in err
 
 
 def test_inputs_never_mutated(capsys, tmp_path):

@@ -220,6 +220,14 @@ def test_congruence_filter():
         assert a % 3 == 1 and b % 3 == 1
 
 
+def test_x_max_defaults_to_no_cap():
+    # the library keeps every |D| by default, as the CLI's --x-max does
+    _, form = _form("cor3_2")
+    rep = enumerate_S(form, grid=10)
+    assert rep == enumerate_S(form, grid=10, x_max=None)
+    assert max(abs(d) for d in rep.witnesses) >= 10 ** 6
+
+
 def test_x_max_filters_membership():
     _, form = _form("cor3_2")
     rep = enumerate_S(form, grid=10, modulus=1, x_max=1000)

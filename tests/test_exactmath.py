@@ -175,6 +175,19 @@ def test_square_class_of_twist_quotient():
     assert same_square_class(RatFunc(k), RatFunc(upoly(2, 6))) is False
 
 
+def test_square_class_reexpansion_catches_a_wrong_decomposition(monkeypatch):
+    # square_class's own re-expansion is the one check of Yun's output
+    real = exactmath.squarefree_decompose
+
+    def drop_last_factor(p):
+        content, factors = real(p)
+        return content, factors[:-1]
+
+    monkeypatch.setattr(exactmath, "squarefree_decompose", drop_last_factor)
+    with pytest.raises(ExactMathError, match="re-expansion"):
+        square_class(RatFunc(upoly(1, 1) ** 2 * upoly(2, 1)))
+
+
 @pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(nonzero_polys, nonzero_polys, nonzero_polys)

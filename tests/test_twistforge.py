@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import same_square_class, upoly
+from twistlab import exactmath, twistforge
 from twistlab.curves import CubicCurve, three_isogeny, two_isogeny_quotient
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.twistforge import (
@@ -140,13 +141,22 @@ def test_isogeny_route_rejects_wrong_cubic():
         twist_from_isogeny(f_other, iso, mu)
 
 
-def test_twist_identity_verified_on_construction():
+def test_twist_identity_derives_k_and_j():
+    # both routes end in TwistIdentity(f, h), which alone derives k and j
     f = upoly(0, -1, 0, 1)
     tid = twist_from_permutation(f, mobius_from_triples((0, 1, -1), (-1, 0, 1)))
-    with pytest.raises(ForgeError):
-        TwistIdentity(f, tid.h, tid.k + ONE, tid.j)
-    with pytest.raises(ForgeError):
-        TwistIdentity(f, tid.h, tid.k * upoly(0, 0, 1), tid.j)  # not squarefree rescale
+    assert TwistIdentity(f, tid.h) == tid
+    b, c = F(3), F(1)
+    f3 = upoly(c, b, b * b / (4 * c), 1)
+    mu = mobius(b ** 3 - 54 * c * c, 0, 12 * b * c, 18 * c * c)
+    tid3 = twist_from_isogeny(f3, three_isogeny(b, c), mu)
+    assert TwistIdentity(f3, tid3.h) == tid3
+
+
+def test_twist_identity_rejects_nonlinear_k():
+    # h = t^2 gives f(h)/f = t(t^2 + 1) for f = t^3 - t, a cubic square class
+    with pytest.raises(ForgeError, match="linear"):
+        TwistIdentity(upoly(0, -1, 0, 1), RatFunc(upoly(0, 0, 1)))
 
 
 # -- conic parametrizations ------------------------------------------------------
@@ -209,6 +219,22 @@ def test_conic_double_rejections():
         conic_param_double(k1, upoly(2, -6), ConicPoint(F(-1, 3), 1, 2))  # bad point
     with pytest.raises(ForgeError):
         conic_param_double(upoly(1, 0, 1), upoly(2, -6), ConicPoint(0, 1, 1))  # nonlinear
+
+
+def test_conics_do_not_recheck_squares(monkeypatch):
+    # the chord algebra gives the squares; the assembly's ratfunc_sqrt proves them
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return square_class(r)
+
+    monkeypatch.setattr(twistforge, "square_class", counting)
+    monkeypatch.setattr(exactmath, "square_class", counting)
+    conic_param_single(upoly(-4, -2))
+    k1, k2 = upoly(-2, -6), upoly(2, -6)
+    conic_param_double(k1, k2, conic_point_for(k1, k2, F(-1, 3)))
+    assert calls == []
 
 
 def test_conic_point_for_requires_squares():
