@@ -610,31 +610,10 @@ def rem4_6_tower() -> tuple[TwistFamily, TwistFamily, TwistFamily]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    family: str
-    params: dict[str, str]
-    g_square_class_matches: bool
-    point_matches: tuple[dict, ...]
-    messages: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.g_square_class_matches and all(m["matched"] for m in self.point_matches)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "g_square_class_matches": self.g_square_class_matches,
-            "point_matches": list(self.point_matches),
-            "messages": list(self.messages),
-            "ok": self.ok,
-        }
-
-
-def crosscheck(spec: FamilySpec) -> CrosscheckReport:
-    """Compare the display-backed family against the pipeline-derived one.
+def crosscheck(spec: FamilySpec) -> dict:
+    """Compare the display-backed family against the pipeline-derived one,
+    as the JSON dict printed: family, params, g_square_class_matches,
+    point_matches, messages and ok.
 
     g must agree up to rational-function squares; every catalog point must
     share its x with a pipeline point rescaled onto the catalog twist.
@@ -661,10 +640,11 @@ def crosscheck(spec: FamilySpec) -> CrosscheckReport:
             point_matches.append({"point": i, "matched": found is not None, "via": found or "none"})
             if found is None:
                 messages.append(f"catalog point {i} not matched by any pipeline point")
-    return CrosscheckReport(
-        family=spec.id,
-        params={k_: rat_to_str(v) for k_, v in spec.params.items()},
-        g_square_class_matches=g_ok,
-        point_matches=tuple(point_matches),
-        messages=tuple(messages),
-    )
+    return {
+        "family": spec.id,
+        "params": {k_: rat_to_str(v) for k_, v in spec.params.items()},
+        "g_square_class_matches": g_ok,
+        "point_matches": point_matches,
+        "messages": messages,
+        "ok": g_ok and all(m["matched"] for m in point_matches),
+    }

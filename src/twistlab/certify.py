@@ -52,34 +52,6 @@ class CertifyError(CheckError, ValueError):
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    witness: dict
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "status": self.status, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    family: str
-    params: dict
-    checks: tuple[CheckResult, ...]
-    certified_lower: int
-    genus_upper: int
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "checks": [c.to_json() for c in self.checks],
-            "certified_lower": self.certified_lower,
-            "genus_upper": self.genus_upper,
-        }
-
-
-@dataclass(frozen=True)
 class SpecializedTwist:
     """A numeric twist obtained from a family at u = u0, normalized so the
     twisting constant is the squarefree part of g(u0)."""
@@ -406,13 +378,21 @@ def automorphism_classification(fam: TwistFamily) -> list[str] | None:
 # ---------------------------------------------------------------------------
 
 
+def _check(name: str, witness: dict, status: str = "pass") -> dict:
+    """One certificate check as printed; status is "pass" or "inconclusive"."""
+    return {"name": name, "status": status, "witness": witness}
+
+
 def certify_family(
     fam: TwistFamily,
     samples: int = DEFAULT_SAMPLES,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-) -> RankCertificate:
-    """Run every certificate check in order; structural failures abort with
-    the failing check named, independence failures only lower the result."""
+) -> dict:
+    """The rank certificate as the JSON dict it prints: family, params,
+    checks, certified_lower and genus_upper.
+
+    Every check runs in order; structural failures abort with the failing
+    check named, independence failures only lower the result."""
     if samples < 1 or prime_budget < 1:
         raise ValueError(f"samples and prime_budget must be positive, got {samples} and {prime_budget}")
     r = len(fam.points)
@@ -420,14 +400,14 @@ def certify_family(
     infinite_order = "nonconstant x implies infinite order"
     # the structural checks in certificate order, all decided by one validate_family pass
     checks = (
-        [CheckResult(f"on-curve[{i}]", "pass", {"point": i}) for i in indices]
-        + [CheckResult(f"nonconstant-x[{i}]", "pass", {"point": i, "reason": infinite_order}) for i in indices]
-        + [CheckResult(name, "pass", {}) for name in ("g-squarefree", "g-nonconstant")]
+        [_check(f"on-curve[{i}]", {"point": i}) for i in indices]
+        + [_check(f"nonconstant-x[{i}]", {"point": i, "reason": infinite_order}) for i in indices]
+        + [_check(name, {}) for name in ("g-squarefree", "g-nonconstant")]
     )
     failures = validate_family(fam)
     for check in checks:
-        if check.name in failures:
-            raise CertifyError(check.name)
+        if check["name"] in failures:
+            raise CertifyError(check["name"])
     if "g-degree" in failures:
         raise CertifyError("g-degree")
 
@@ -440,7 +420,7 @@ def certify_family(
         if classes is not None and sorted(classes) == ["fixed", "negated"]:
             certified = 2
             independence_witness = {"strategy": "u->-u eigensplit", "classes": classes}
-            checks.append(CheckResult("independence", "pass", independence_witness))
+            checks.append(_check("independence", independence_witness))
     if r >= 2 and certified < r:
         witnesses = []
         # u0 = 2, 3, ...; skip roots of g, poles, and points with y = 0 (2-torsion)
@@ -459,18 +439,18 @@ def certify_family(
             if verdict.independent or len(witnesses) == samples:
                 break
         independence_witness = {"strategy": "specialization + mod-ell reduction", "specializations": witnesses}
-        checks.append(CheckResult("independence", "pass" if certified == r else "inconclusive", independence_witness))
+        checks.append(_check("independence", independence_witness, "pass" if certified == r else "inconclusive"))
     elif r == 1:
-        checks.append(CheckResult("independence", "pass", independence_witness))
+        checks.append(_check("independence", independence_witness))
 
     if certified > genus:
         raise CertifyError("genus-bound", "certified rank exceeded the genus bound (internal error)")
-    checks.append(CheckResult("genus-bound", "pass", {"genus_upper": genus, "certified_lower": certified}))
+    checks.append(_check("genus-bound", {"genus_upper": genus, "certified_lower": certified}))
     prov = fam.provenance
-    return RankCertificate(
-        family=prov.get("family", "?"),
-        params=prov.get("params", {}),
-        checks=tuple(checks),
-        certified_lower=certified,
-        genus_upper=genus,
-    )
+    return {
+        "family": prov.get("family", "?"),
+        "params": prov.get("params", {}),
+        "checks": checks,
+        "certified_lower": certified,
+        "genus_upper": genus,
+    }

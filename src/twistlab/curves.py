@@ -173,7 +173,6 @@ class Isogeny:
     target: CubicCurve
     phi_x: RatFunc
     phi_y: RatFunc
-    degree: int
 
     def __post_init__(self):
         lhs = compose(self.target.f, self.phi_x)
@@ -197,7 +196,7 @@ def two_isogeny_quotient(curve: CubicCurve) -> Isogeny:
     quotient = CubicCurve(UniPoly([0, disc_q, -2 * a_, 1]))
     phi_x = RatFunc(UniPoly([disc_q, -2 * a_, 1]), UniPoly([0, 4]))
     phi_y = RatFunc(UniPoly([-disc_q, 0, 1]), UniPoly([0, 0, 8]))
-    return Isogeny(source=quotient, target=curve, phi_x=phi_x, phi_y=phi_y, degree=2)
+    return Isogeny(source=quotient, target=curve, phi_x=phi_x, phi_y=phi_y)
 
 
 def three_isogeny(b: Fraction, c: Fraction) -> Isogeny:
@@ -222,4 +221,4 @@ def three_isogeny(b: Fraction, c: Fraction) -> Isogeny:
     # quotient of the source by its X = 0 subgroup, then (x, y) -> ((x - b^2/c)/9, y/27)
     phi_x = RatFunc(UniPoly([4 * a6s, 2 * a4s, -b * b / c, 1]), UniPoly([0, 0, 9]))
     phi_y = RatFunc(UniPoly([-8 * a6s, -2 * a4s, 0, 1]), UniPoly([0, 0, 0, 27]))
-    return Isogeny(source=source, target=target, phi_x=phi_x, phi_y=phi_y, degree=3)
+    return Isogeny(source=source, target=target, phi_x=phi_x, phi_y=phi_y)

@@ -341,7 +341,7 @@ def _certify_one(args):
     if spec.d != d:
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": "witness mismatch"}
     verdict = certify_specialization(spec, prime_budget)
-    rec = {"u0": rat_to_str(u0), "certified": verdict.independent, **verdict.to_json()}
+    rec = {"u0": rat_to_str(u0), "certified": verdict.rank >= fam.claimed_rank, **verdict.to_json()}
     return d, rec
 
 
@@ -351,7 +351,8 @@ def certified_density(
     prime_budget: int = DEFAULT_PRIME_BUDGET,
     threads: int = 1,
 ) -> DensityReport:
-    """Attach an independence verdict to every counted D.  A D whose u0 hits
+    """Attach an independence verdict to every counted D, certified when
+    the proved rank reaches the family's claimed rank.  A D whose u0 hits
     a root of g or a pole of a point, or whose specialization gives another
     D, is recorded as not certified; any other CertifyError aborts."""
     if prime_budget < 1:

@@ -86,42 +86,42 @@ class TwistIdentity:
         object.__setattr__(self, "j", j)
 
 
-def _transport(f: UniPoly, target: UniPoly, h: RatFunc, what: str) -> RatFunc:
-    """target(h(t)), once h is verified to carry the root set of f onto the
-    root set of target.
+def _transported(f: UniPoly, mu: RatFunc, h: RatFunc, what: str) -> TwistIdentity:
+    """The identity for h, once the Moebius map mu = (a*t + b)/(c*t + d), with
+    c != 0, is shown to carry the roots of f onto the roots of `what`.
 
-    Operationally: target(h(t)) must reduce to const * f(t) / (t + delta)^3,
-    i.e. its reduced numerator is a constant multiple of f.  A rational
-    function of any degree but 1 gives a numerator of degree other than 3.
+    Writing the target cubic at mu as G(t)/(c*t + d)^3, f(h)/f has the square
+    class of G*(c*t + d)*f, which is (c*t + d) up to a constant exactly when
+    G is a constant times f.  If mu(infinity) is a root, G has degree 2 and k
+    has even degree, which TwistIdentity rejects.
     """
-    composed = compose(target, h)
-    num = composed.num
-    if num.degree != 3 or num.monic() != f.monic():
+    if mu.den.degree != 1 or mu.num.degree > 1:
+        raise ForgeError("root transport needs a Moebius map (a*t + b)/(c*t + d) with c != 0")
+    tid = TwistIdentity(f, h)
+    if tid.k.monic() != mu.den:
         raise ForgeError(f"Moebius map does not carry the roots of f to the roots of {what}")
-    return composed
+    return tid
 
 
 def twist_from_permutation(f: UniPoly, h: RatFunc) -> TwistIdentity:
     """Twist identity from a Moebius map permuting the root set of f.
 
-    Raises if h is a linear polynomial (the factorization degenerates there)
-    or if h does not actually permute the roots.
+    Raises if h is a polynomial (the factorization degenerates there) or
+    if h does not actually permute the roots.
     """
-    if h.den.is_constant():
-        raise ForgeError("root permutation realized by a linear polynomial is excluded")
-    _transport(f, f, h, "f")
-    return TwistIdentity(f, h)
+    return _transported(f, h, h, "f")
 
 
 def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: RatFunc) -> TwistIdentity:
     """Twist identity from h = phi_x(mu(t)), with the Moebius map mu carrying
-    the roots of f to the roots of the isogeny's source cubic."""
+    the roots of f to the roots of the isogeny's source cubic.
+
+    The isogeny's identity f(phi_x) = f_source * phi_y^2 gives f(h) the
+    square class of f_source(mu), so mu is checked as for a permutation.
+    """
     if f != iso.target.f:
         raise ForgeError("isogeny target cubic must equal f")
-    if mu.den.is_constant():
-        raise ForgeError("root transport by a linear polynomial is excluded")
-    _transport(f, iso.source.f, mu, "the isogeny source cubic")
-    return TwistIdentity(f, iso.phi_x.compose(mu))
+    return _transported(f, mu, iso.phi_x.compose(mu), "the isogeny source cubic")
 
 
 # ---------------------------------------------------------------------------

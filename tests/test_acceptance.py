@@ -106,7 +106,7 @@ def test_criterion_3_pipeline_display_crosscheck():
     for fid in FAMILY_IDS:
         spec = FamilySpec.make(fid)
         report = crosscheck(spec)
-        assert report.ok, (fid, report.messages)
+        assert report["ok"], (fid, report["messages"])
         quotient = RatFunc(build_pipeline(spec).g) / RatFunc(build(spec).g)
         k, _ = square_class(quotient)
         assert k == ONE
@@ -120,12 +120,12 @@ def test_criterion_4_genus_rank_accounting():
     for fid in FAMILY_IDS:
         fam = build(FamilySpec.make(fid))
         cert = certify_family(fam)
-        assert cert.genus_upper == (fam.g.degree - 1) // 2
-        assert cert.certified_lower <= cert.genus_upper
+        assert cert["genus_upper"] == (fam.g.degree - 1) // 2
+        assert cert["certified_lower"] <= cert["genus_upper"]
         if fid == "cor3_2":
-            assert cert.certified_lower == cert.genus_upper == 2
+            assert cert["certified_lower"] == cert["genus_upper"] == 2
         if fid == "rem4_6":
-            assert cert.certified_lower == cert.genus_upper == 1
+            assert cert["certified_lower"] == cert["genus_upper"] == 1
     _report(4, "genus bounds hold; cor3_2 and rem4_6 pinned exactly", t0)
 
 
@@ -133,8 +133,8 @@ def test_criterion_5_rank3_certificates():
     t0 = time.time()
     for fid in ("thm4_1", "thm4_2a", "thm4_2b", "thm4_3", "thm4_5"):
         cert = certify_family(build(FamilySpec.make(fid)), samples=3, prime_budget=60)
-        assert cert.certified_lower == 3, fid
-        proof = next(c for c in cert.checks if c.name == "independence").witness["specializations"][-1]
+        assert cert["certified_lower"] == 3, fid
+        proof = next(c for c in cert["checks"] if c["name"] == "independence")["witness"]["specializations"][-1]
         assert proof["verdict"] == "independent" and proof["rank"] == 3, fid
         assert len(proof["primes"]) == 3 and proof["torsion_prime"], fid
     elapsed = time.time() - t0
@@ -145,7 +145,7 @@ def test_criterion_5_rank3_certificates():
 def test_criterion_6_tower():
     t0 = time.time()
     fams = rem4_6_tower()
-    lows = [certify_family(fam).certified_lower for fam in fams]
+    lows = [certify_family(fam)["certified_lower"] for fam in fams]
     assert lows == [1, 2, 3]
     assert genus_upper_bound(fams[0].g) == 1 == lows[0]  # rank-1 layer pinned by genus
     _report(6, "tower certifies lower bounds (1, 2, 3); base pinned by genus", t0)

@@ -241,15 +241,21 @@ def test_cor3_2_displayed_point_values():
 @pytest.mark.parametrize("fid", FAMILY_IDS)
 def test_crosscheck_square_class_and_points(fid):
     report = crosscheck(FamilySpec.make(fid))
-    assert report.g_square_class_matches
-    assert all(m["matched"] for m in report.point_matches)
-    assert report.ok
+    assert report["g_square_class_matches"]
+    assert all(m["matched"] for m in report["point_matches"])
+    assert report["ok"]
+
+
+@pytest.mark.parametrize("fid", ["cor3_2", "thm4_5"])
+def test_crosscheck_report_is_its_json(fid):
+    report = crosscheck(FamilySpec.make(fid))
+    assert report == json.loads(dump_json(report))
 
 
 def test_crosscheck_off_default_parameters():
     for fid, params in OFF_DEFAULT_PARAMS:
         report = crosscheck(FamilySpec.make(fid, params))
-        assert report.ok, (fid, params, report.messages)
+        assert report["ok"], (fid, params, report["messages"])
 
 
 def test_crosscheck_reports_unmatched_point(monkeypatch, capsys):
@@ -261,10 +267,11 @@ def test_crosscheck_reports_unmatched_point(monkeypatch, capsys):
     tampered = TwistFamily(fam.base, fam.g, (shifted,) + fam.points[1:], fam.claimed_rank, fam.provenance)
     monkeypatch.setattr(catalog, "_build", lambda spec, pipe=None: tampered)
     report = crosscheck(FamilySpec.make("thm4_5"))
-    assert not report.ok
-    assert report.point_matches[0] == {"point": 1, "matched": False, "via": "none"}
-    assert [m["via"] for m in report.point_matches[1:]] == ["exact", "exact"]
-    assert report.messages == ("catalog point 1 not matched by any pipeline point",)
+    assert not report["ok"]
+    assert report["point_matches"][0] == {"point": 1, "matched": False, "via": "none"}
+    assert [m["via"] for m in report["point_matches"][1:]] == ["exact", "exact"]
+    assert report["messages"] == ["catalog point 1 not matched by any pipeline point"]
+    assert report == json.loads(dump_json(report))
     assert run(["crosscheck", "--id", "thm4_5"]) == 1
     capsys.readouterr()
 
@@ -414,24 +421,12 @@ def test_mestre_pipeline_matches_display_exactly():
     assert build(spec).g == build_pipeline(spec).g
 
 
-def _crosscheck_payload(report) -> dict:
-    # the JSON that `twistlab crosscheck --json` prints
-    return {
-        "family": report.family,
-        "params": report.params,
-        "g_square_class_matches": report.g_square_class_matches,
-        "point_matches": list(report.point_matches),
-        "messages": list(report.messages),
-        "ok": report.ok,
-    }
-
-
 def test_certificate_and_crosscheck_digests():
     cases = [(fid, {}) for fid in FAMILY_IDS] + list(OFF_DEFAULT_PARAMS)
     assert len(cases) == len(CERT_CROSSCHECK_SHA256)
     for fid, params in cases:
         key = " ".join([fid] + [f"{k}={v}" for k, v in params.items()])
         spec = FamilySpec.make(fid, params)
-        payloads = (certify_family(build(spec)).to_json(), _crosscheck_payload(crosscheck(spec)))
+        payloads = (certify_family(build(spec)), crosscheck(spec))
         digests = tuple(hashlib.sha256(dump_json(p).encode()).hexdigest() for p in payloads)
         assert digests == CERT_CROSSCHECK_SHA256[key], key

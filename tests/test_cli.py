@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from twistlab.catalog import ConstraintError, FamilySpec, build
-from twistlab.certify import BadPrimeError, CertifyError
+from twistlab.certify import BadPrimeError, CertifyError, certify_family
 from twistlab.cli import run
 from twistlab.curves import CurveError
 from twistlab.densitylab import DensityError
@@ -57,6 +57,33 @@ def test_certify_ok_and_deterministic(capsys, tmp_path):
     assert first == second
     cert = json.loads(first)
     assert cert["certified_lower"] == 2
+
+
+def test_certify_json_is_certify_family(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    fam = build(FamilySpec.make("thm4_5"))
+    dump_json(family_to_json(fam), path=path)
+    assert run(["certify", "--family", str(path), "--json"]) == 0
+    out, _ = _capture(capsys)
+    assert json.loads(out) == certify_family(fam)
+
+
+def test_certify_short_of_claimed_rank_exits_1(capsys, tmp_path):
+    # thm4_5 without its third point still claims rank 3
+    payload = family_to_json(build(FamilySpec.make("thm4_5")))
+    del payload["points"][2]
+    path = tmp_path / "two.json"
+    dump_json(payload, path=path)
+    assert run(["certify", "--family", str(path), "--json"]) == 1
+    out, err = _capture(capsys)
+    assert json.loads(out)["certified_lower"] == 2
+    assert err == "proved rank 2 is short of the claimed rank 3\n"
+    out_path = tmp_path / "cert.json"
+    assert run(["certify", "--family", str(path), "--out", str(out_path)]) == 1
+    text_out, err = _capture(capsys)
+    assert text_out.startswith("family thm4_5: certified rank >= 2, genus bound 5\n")
+    assert err == f"wrote {out_path}\nproved rank 2 is short of the claimed rank 3\n"
+    assert json.loads(out_path.read_text()) == json.loads(out)
 
 
 def test_certify_corrupted_point_exits_1(capsys, tmp_path):

@@ -140,7 +140,6 @@ def test_two_isogeny_quotient_curve():
     iso = two_isogeny_quotient(curve)
     assert iso.source.f == upoly(0, 9, 10, 1)
     assert iso.target is curve
-    assert iso.degree == 2
     # identity was verified symbolically at construction; re-check explicitly
     assert compose(curve.f, iso.phi_x) == RatFunc(iso.source.f) * iso.phi_y * iso.phi_y
 
@@ -159,7 +158,6 @@ def test_two_isogeny_needs_origin_point():
 
 def test_three_isogeny_construction():
     iso = three_isogeny(Fraction(3), Fraction(1))
-    assert iso.degree == 3
     assert iso.target.f == upoly(1, 3, Fraction(9, 4), 1)
     assert compose(iso.target.f, iso.phi_x) == RatFunc(iso.source.f) * iso.phi_y * iso.phi_y
 
@@ -178,7 +176,7 @@ def test_isogeny_identity_enforced():
     curve = CubicCurve(upoly(0, 4, -5, 1))
     iso = two_isogeny_quotient(curve)
     with pytest.raises(CurveError):
-        Isogeny(iso.source, iso.target, iso.phi_x, iso.phi_y + RatFunc(ONE), 2)
+        Isogeny(iso.source, iso.target, iso.phi_x, iso.phi_y + RatFunc(ONE))
 
 
 def test_on_twist_cross_multiplied_over_function_field():

@@ -23,6 +23,7 @@ from twistlab.densitylab import (
     with_fit,
 )
 from twistlab.exactmath import UniPoly, is_probable_prime, squarefree_part_int
+from twistlab.twistforge import TwistFamily
 
 
 def _form(fid):
@@ -277,6 +278,17 @@ def test_certified_density_threads_match_sequential():
     par = certified_density(fam, rep, prime_budget=10, threads=2)
     assert seq.certified_counts == par.certified_counts
     assert seq.certifications == par.certifications
+
+
+def test_certified_d_needs_the_claimed_rank():
+    # thm4_5 without its third point still claims rank 3: proving its two
+    # points independent at a D is rank-2 evidence, not a certified D
+    fam, form = _form("thm4_5")
+    truncated = TwistFamily(fam.base, fam.g, fam.points[:2], fam.claimed_rank, fam.provenance)
+    out = certified_density(truncated, enumerate_S(form, grid=10, x_max=None), prime_budget=15)
+    assert any(rec.get("rank") == 2 for rec in out.certifications.values())
+    assert not any(rec["certified"] for rec in out.certifications.values())
+    assert set(out.certified_counts) == {0}
 
 
 # sha256 of the `certifications` payload of certified_density at grid 30 with

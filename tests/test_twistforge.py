@@ -7,6 +7,7 @@ import pytest
 
 from conftest import same_square_class, upoly
 from twistlab import exactmath, twistforge
+from twistlab.catalog import FAMILY_IDS, FamilySpec, twist_identities
 from twistlab.curves import CubicCurve, three_isogeny, two_isogeny_quotient
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.twistforge import (
@@ -94,6 +95,29 @@ def test_non_permutation_rejected():
     f = upoly(0, -1, 0, 1)
     with pytest.raises(ForgeError):
         twist_from_permutation(f, mobius(0, 1, 1, 1))  # 1/(t+1) moves the roots off the set
+
+
+def test_linear_k_from_a_non_permutation_rejected():
+    # (t + 1)/(2t) sends the roots 0, 1, -1 of t^3 - t to infinity, 1, 0: its
+    # k = -6t - 2 is linear, but k is not the denominator t up to a constant
+    f = upoly(0, -1, 0, 1)
+    h = RatFunc(upoly(1, 1), upoly(0, 2))
+    assert TwistIdentity(f, h).k == upoly(-2, -6)
+    with pytest.raises(ForgeError, match="does not carry the roots"):
+        twist_from_permutation(f, h)
+
+
+def test_default_identities_compose_f_with_h_once(monkeypatch):
+    calls = []
+    ratfunc_compose = RatFunc.compose
+
+    def counting(self, inner):
+        calls.append(self)
+        return ratfunc_compose(self, inner)
+
+    monkeypatch.setattr(RatFunc, "compose", counting)
+    tids = [tid for fid in FAMILY_IDS for tid in twist_identities(FamilySpec.make(fid))]
+    assert len(tids) == 12 and len(calls) == 25
 
 
 def test_isogeny_identity_degree3():
