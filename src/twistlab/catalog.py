@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from math import prod
 from typing import Callable
 
 from .curves import CubicCurve, CurvePoint, three_isogeny, two_isogeny_quotient
@@ -216,7 +215,7 @@ def _attach_quartic_factors(fam: TwistFamily, t_of_u: RatFunc) -> TwistFamily:
     """Record the quartic split of g induced by the roots 0, 1, lambda of the
     base cubic x(x - 1)(x - lambda), whose x coefficient is lambda."""
     quartics = [(t_of_u - r).num for r in (Fraction(0), Fraction(1), fam.base.f.coeff(1))]
-    k, _ = square_class(RatFunc(reduce(mul, quartics, ONE)) / RatFunc(fam.g))
+    k, _ = square_class(RatFunc(prod(quartics, start=ONE)) / RatFunc(fam.g))
     if k != ONE:
         raise ForgeError("quartic factor split does not multiply to g up to squares")
     prov = dict(fam.provenance)
@@ -270,14 +269,14 @@ def _pipeline_rem4_6(spec: FamilySpec) -> TwistFamily:
 
 def _displayed(spec: FamilySpec, f: UniPoly, factors, points, method="display", notes="") -> TwistFamily:
     """The family on the displayed twist g, the product of `factors`."""
-    g = reduce(mul, factors, ONE)
+    g = prod(factors, start=ONE)
     prov = _provenance(spec, method, None, factors, notes)
     return checked_family(TwistFamily(CubicCurve(f), g, tuple(points), RECIPES[spec.id].rank, prov))
 
 
 def _displayed_g(spec: FamilySpec, pipe: TwistFamily, factors, method="display", notes="") -> TwistFamily:
     """The displayed g with the pipeline family's points rescaled onto its twist."""
-    rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(reduce(mul, factors, ONE)))
+    rho = ratfunc_sqrt(RatFunc(pipe.g) / RatFunc(prod(factors, start=ONE)))
     pts = [CurvePoint(p.x, (p.y * rho).sign_normalized()) for p in pipe.points]
     return _displayed(spec, pipe.base.f, factors, pts, method, notes)
 

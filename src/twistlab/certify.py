@@ -13,11 +13,13 @@ specialized points span rank >= k.  Specialization is a homomorphism
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .curves import CubicCurve, CurvePoint, TwistedCurve, on_twist
+from .curves import CubicCurve, CurvePoint, on_twist
 from .exactmath import (
     _SMALL_PRIMES,
     CheckError,
@@ -61,9 +63,6 @@ class SpecializedTwist:
     base: CubicCurve
     points: tuple[CurvePoint, ...]
 
-    def curve(self) -> TwistedCurve:
-        return TwistedCurve(self.base, Fraction(self.d))
-
     def to_json(self) -> dict:
         return {
             "u0": rat_to_str(self.u0),
@@ -79,17 +78,17 @@ def specialize(fam: TwistFamily, u0, d: int | None = None) -> SpecializedTwist:
     y-coordinates so the twist constant is a squarefree integer.
 
     A caller that has proved D squarefree, such as the density sieve, may
-    pass it as d: it is used when g(u0)/d is a rational square, without
-    factoring g(u0); otherwise g(u0) is factored as when d is None.
+    pass it as d, so that g(u0) is not factored; a d for which g(u0)/d is
+    not a rational square is a "witness mismatch".
     """
     u0 = Fraction(u0)
     g_val = fam.g(u0)
     if g_val == 0:
         raise CertifyError("specialize", f"u0 = {rat_to_str(u0)} is a root of g")
-    w = rational_sqrt(g_val / d) if d else None
+    d = d or squarefree_part_int(g_val.numerator * g_val.denominator)
+    w = rational_sqrt(g_val / d)
     if w is None:
-        d = squarefree_part_int(g_val.numerator * g_val.denominator)
-        w = rational_sqrt(g_val / d)
+        raise CertifyError("specialize", "witness mismatch")
     pts = []
     for i, p in enumerate(fam.points, start=1):
         try:
@@ -180,33 +179,20 @@ class _Reductions(dict):
     def __init__(self, f: UniPoly):
         super().__init__()
         self.coeffs = (f.coeff(2), f.coeff(1), f.coeff(0))
-        self.disc = discriminant_cubic(f)
+        disc = discriminant_cubic(f)
+        self.bad = disc.numerator * disc.denominator * math.prod(c.denominator for c in self.coeffs)
 
     def __missing__(self, p: int):
         reduction = None
-        try:
-            if _mod_frac(self.disc, p):
-                e2, e1, e0 = (_mod_frac(c, p) for c in self.coeffs)
-                reduction = (e2, e1, e0, _frobenius_trace(p, e2, e1, e0))
-        except BadPrimeError:
-            pass
+        if self.bad % p:
+            e2, e1, e0 = (_mod_frac(c, p) for c in self.coeffs)
+            reduction = (e2, e1, e0, _frobenius_trace(p, e2, e1, e0))
         self[p] = reduction
         return reduction
 
 
-# one _Reductions per cubic, keyed on the numerators and denominators of its
-# coefficients, which hash faster than the Fractions
-_REDUCTIONS: dict[tuple[int, ...], _Reductions] = {}
-
-
-def _reductions(f: UniPoly) -> _Reductions:
-    key = tuple(v for c in f.coeffs for v in (c.numerator, c.denominator))
-    table = _REDUCTIONS.get(key)
-    if table is None:
-        if len(_REDUCTIONS) >= 64:  # drop the oldest curve
-            del _REDUCTIONS[next(iter(_REDUCTIONS))]
-        table = _REDUCTIONS[key] = _Reductions(f)
-    return table
+# one table per cubic, for the 64 cubics used last
+_reductions = functools.lru_cache(maxsize=64)(_Reductions)
 
 
 def _count_points(p: int, d: int, a_p: int) -> int:
@@ -383,6 +369,26 @@ def _check(name: str, witness: dict, status: str = "pass") -> dict:
     return {"name": name, "status": status, "witness": witness}
 
 
+def structural_checks(fam: TwistFamily) -> list[dict]:
+    """The structural checks of a certificate, in certificate order, all
+    decided by one validate_family pass.  The first failure raises
+    CertifyError naming it; a claimed rank is left to the proved rank."""
+    indices = range(1, len(fam.points) + 1)
+    infinite_order = "nonconstant x implies infinite order"
+    checks = (
+        [_check(f"on-curve[{i}]", {"point": i}) for i in indices]
+        + [_check(f"nonconstant-x[{i}]", {"point": i, "reason": infinite_order}) for i in indices]
+        + [_check(name, {}) for name in ("g-squarefree", "g-nonconstant")]
+    )
+    failures = validate_family(fam)
+    for check in checks:
+        if check["name"] in failures:
+            raise CertifyError(check["name"])
+    if "g-degree" in failures:
+        raise CertifyError("g-degree")
+    return checks
+
+
 def certify_family(
     fam: TwistFamily,
     samples: int = DEFAULT_SAMPLES,
@@ -396,21 +402,7 @@ def certify_family(
     if samples < 1 or prime_budget < 1:
         raise ValueError(f"samples and prime_budget must be positive, got {samples} and {prime_budget}")
     r = len(fam.points)
-    indices = range(1, r + 1)
-    infinite_order = "nonconstant x implies infinite order"
-    # the structural checks in certificate order, all decided by one validate_family pass
-    checks = (
-        [_check(f"on-curve[{i}]", {"point": i}) for i in indices]
-        + [_check(f"nonconstant-x[{i}]", {"point": i, "reason": infinite_order}) for i in indices]
-        + [_check(name, {}) for name in ("g-squarefree", "g-nonconstant")]
-    )
-    failures = validate_family(fam)
-    for check in checks:
-        if check["name"] in failures:
-            raise CertifyError(check["name"])
-    if "g-degree" in failures:
-        raise CertifyError("g-degree")
-
+    checks = structural_checks(fam)
     genus = genus_upper_bound(fam.g)
     certified = 1 if r >= 1 else 0
     independence_witness: dict = {"strategy": "single nonconstant point"} if r else {}

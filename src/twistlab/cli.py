@@ -131,6 +131,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_specialize(args) -> int:
     fam = _load_family(args.family)
+    certify_mod.structural_checks(fam)
     spec = certify_mod.specialize(fam, rat_from_str(args.u0))
     payload = spec.to_json()
     lines = [f"u0 = {args.u0}: D = {spec.d}"] + [

@@ -38,9 +38,6 @@ class CubicCurve:
         if discriminant_cubic(self.f) == 0:
             raise CurveError("singular cubic: repeated root (discriminant is zero)")
 
-    def __repr__(self):
-        return f"CubicCurve(y^2 = {self.f.to_str('x')})"
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -53,20 +50,8 @@ class CurvePoint:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def neg(self) -> "CurvePoint":
-        if self.is_infinity:
-            return self
-        return CurvePoint(self.x, -self.y)
-
     def has_nonconstant_x(self) -> bool:
         return not self.is_infinity and not _is_constant_elem(self.x)
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "CurvePoint(infinity)"
-        xs = self.x.to_str("u") if isinstance(self.x, RatFunc) else str(self.x)
-        ys = self.y.to_str("u") if isinstance(self.y, RatFunc) else str(self.y)
-        return f"CurvePoint({xs}, {ys})"
 
 
 INFINITY = CurvePoint(None, None)
@@ -137,23 +122,6 @@ class TwistedCurve:
         x3 = self.d * slope * slope - self.base.f.coeff(2) - p.x - q.x
         y3 = -(p.y + slope * (x3 - p.x))
         return CurvePoint(x3, y3)
-
-    def multiply(self, n: int, p: CurvePoint) -> CurvePoint:
-        """n*P by double-and-add; 0*P is infinity."""
-        if n < 0:
-            return self.multiply(-n, p.neg())
-        acc = INFINITY
-        addend = p
-        while n:
-            if n & 1:
-                acc = self.add(acc, addend)
-            addend = self.add(addend, addend)
-            n >>= 1
-        return acc
-
-    def __repr__(self):
-        ds = self.d.to_str("u") if isinstance(self.d, RatFunc) else str(self.d)
-        return f"TwistedCurve(({ds})*y^2 = {self.base.f.to_str('x')})"
 
 
 # ---------------------------------------------------------------------------

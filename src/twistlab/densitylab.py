@@ -15,11 +15,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt
-from operator import mul
 
-from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize
+from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize, structural_checks
 from .exactmath import (
     ONE,
     SMALL_PRIME_BOUND,
@@ -92,7 +90,7 @@ def _squarefree_product(values) -> int:
         for p, e in factorize(v).items():
             if e & 1:
                 odd_primes ^= {p}
-    return reduce(mul, odd_primes, 1)
+    return math.prod(odd_primes)
 
 
 def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
@@ -112,7 +110,7 @@ def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
             raise ValueError(f"provenance field 'factor_polys' is malformed: {exc}") from None
         if not all(fps):
             raise ValueError("provenance field 'factor_polys' has a zero factor")
-        kk, sigma = square_class(RatFunc(reduce(mul, fps, ONE)) / RatFunc(g))
+        kk, sigma = square_class(RatFunc(math.prod(fps, start=ONE)) / RatFunc(g))
         if kk == ONE and sigma.is_constant():
             factor_coeffs = tuple(tuple(_to_int_poly(fp)) for fp in fps if fp != ONE)
             if g.degree % 2:
@@ -329,6 +327,10 @@ def with_fit(report: DensityReport) -> DensityReport:
     return replace(report, fit=fit_exponent(report))
 
 
+# jobs per task sent to a certification worker
+_CHUNK = 16
+
+
 def _certify_one(args):
     fam, d, a, b, prime_budget = args
     u0 = Fraction(a, b)
@@ -338,8 +340,6 @@ def _certify_one(args):
         if exc.check_name != "specialize":
             raise
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
-    if spec.d != d:
-        return d, {"u0": rat_to_str(u0), "certified": False, "reason": "witness mismatch"}
     verdict = certify_specialization(spec, prime_budget)
     rec = {"u0": rat_to_str(u0), "certified": verdict.rank >= fam.claimed_rank, **verdict.to_json()}
     return d, rec
@@ -352,18 +352,22 @@ def certified_density(
     threads: int = 1,
 ) -> DensityReport:
     """Attach an independence verdict to every counted D, certified when
-    the proved rank reaches the family's claimed rank.  A D whose u0 hits
-    a root of g or a pole of a point, or whose specialization gives another
-    D, is recorded as not certified; any other CertifyError aborts."""
+    the proved rank reaches the family's claimed rank.  The family's
+    structural checks run first, once.  A D whose u0 hits a root of g or a
+    pole of a point, or whose g(u0)/D is not a square, is recorded as not
+    certified; any other CertifyError aborts."""
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
+    structural_checks(fam)
     jobs = [(fam, d, a, b, prime_budget) for d, (a, b) in sorted(report.witnesses.items())]
     records: dict[int, dict] = {}
-    if threads > 1:
+    # at most one worker per chunk: fork starts every worker at the first submit
+    workers = min(threads, -(-len(jobs) // _CHUNK))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for d, rec in pool.map(_certify_one, jobs, chunksize=16):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for d, rec in pool.map(_certify_one, jobs, chunksize=_CHUNK):
                 records[d] = rec
     else:
         for job in jobs:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm, prod
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -278,10 +278,7 @@ class UniPoly:
 
     def _cleared(self) -> tuple[int, list[int]]:
         """(L, [L*c for c in coeffs]) with L the least common denominator."""
-        den = 1
-        for c in self.coeffs:
-            if den % c.denominator:
-                den = den * c.denominator // _int_gcd(den, c.denominator)
+        den = lcm(*{c.denominator for c in self.coeffs})
         return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def _at(self, a: int, b: int) -> tuple[int, int]:
@@ -312,9 +309,7 @@ class UniPoly:
         if self.is_zero():
             return Fraction(0), ZERO
         den_lcm, ints = self._cleared()
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, v)
+        g = _int_gcd(*ints)
         sign = -1 if ints[-1] < 0 else 1
         prim = UniPoly(v // (sign * g) for v in ints)
         return Fraction(sign * g, den_lcm), prim
@@ -664,20 +659,9 @@ def _sieve(limit: int) -> list[int]:
 # the density sieve sieves by no prime above it.
 SMALL_PRIME_BOUND = 4096
 _SMALL_PRIMES = _sieve(SMALL_PRIME_BOUND)
-
-
-def _prime_chunks() -> list[tuple[list[int], int]]:
-    chunks = []
-    for i in range(0, len(_SMALL_PRIMES), 64):
-        block = _SMALL_PRIMES[i : i + 64]
-        prod = 1
-        for p in block:
-            prod *= p
-        chunks.append((block, prod))
-    return chunks
-
-
-_PRIME_CHUNKS = _prime_chunks()
+_PRIME_CHUNKS = [
+    (block, prod(block)) for block in (_SMALL_PRIMES[i : i + 64] for i in range(0, len(_SMALL_PRIMES), 64))
+]
 
 # Deterministic Miller-Rabin witnesses: the first k primes decide primality
 # below psi_k, the least strong pseudoprime to all of them (Jaeschke, Math.
@@ -766,10 +750,10 @@ def factorize(n: int) -> dict[int, int]:
     n = abs(n)
     out: dict[int, int] = {}
     # batched trial division: one gcd per block of small primes
-    for block, prod in _PRIME_CHUNKS:
+    for block, block_prod in _PRIME_CHUNKS:
         if n == 1:
             break
-        g = _int_gcd(n, prod)
+        g = _int_gcd(n, block_prod)
         if g > 1:
             for p in block:
                 if g % p == 0:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from functools import reduce
 
 from twistlab.exactmath import ONE, RatFunc, UniPoly, square_class
 
@@ -19,3 +20,8 @@ def same_square_class(a, b) -> bool:
 
 def coord_height(q: Fraction) -> int:
     return max(abs(q.numerator), q.denominator)
+
+
+def multiple(curve, n: int, p):
+    """n*P for n >= 1 on a TwistedCurve, by repeated addition."""
+    return reduce(curve.add, [p] * n)

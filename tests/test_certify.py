@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import upoly
+from conftest import multiple, upoly
 from twistlab import catalog, certify
 from twistlab.catalog import FamilySpec, build, crosscheck, rem4_6_tower
 from twistlab.certify import (
@@ -65,7 +65,7 @@ def test_specialize_degree12_family():
     fam = build(FamilySpec.make("thm4_5"))
     spec = specialize(fam, 2)
     assert spec.d == -29274
-    curve = spec.curve()
+    curve = TwistedCurve(spec.base, spec.d)
     assert len(spec.points) == 3
     for p in spec.points:
         assert curve.contains(p)
@@ -76,7 +76,7 @@ def test_specialize_clears_square_part():
     # g(1/2) has denominator 2^12, a perfect square to absorb
     spec = specialize(fam, F(1, 2))
     assert spec.d == -29274  # reciprocal symmetry of the palindromic g
-    assert spec.curve().contains(spec.points[0])
+    assert TwistedCurve(spec.base, spec.d).contains(spec.points[0])
 
 
 def _specialized(fam, u0, *d):
@@ -94,10 +94,15 @@ def test_specialize_takes_the_sieves_d():
             assert _specialized(fam, F(a, b), d) == _specialized(fam, F(a, b)), (fid, d)
 
 
-def test_specialize_factors_g_when_d_is_off_its_square_class():
+def test_specialize_rejects_a_d_off_its_square_class(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"g(u0) = {n} factored although d was given")
+
+    monkeypatch.setattr(certify, "squarefree_part_int", no_factoring)
     fam = build(FamilySpec.make("thm4_5"))
+    assert specialize(fam, 2, -29274).d == -29274
     for d in (29274, -29274 * 5, 1):
-        assert specialize(fam, 2, d).d == -29274
+        assert _specialized(fam, 2, d) == ("specialize", "witness mismatch")
 
 
 def test_specialize_rejects_root_of_g():
@@ -129,9 +134,9 @@ def test_sieve_certifies_independent_triple():
 
 def test_sieve_detects_planted_relation():
     fam, spec = _spec_points()
-    curve = spec.curve()
+    curve = TwistedCurve(spec.base, spec.d)
     p = spec.points[0]
-    doubled = curve.multiply(2, p)
+    doubled = multiple(curve, 2, p)
     verdict = mod_p_relation_sieve((p, doubled), spec.d, fam.base.f, good_primes(spec, 60))
     assert not verdict.independent and verdict.rank <= 1
     assert verdict.to_json()["verdict"] == "not-proved"
@@ -140,7 +145,7 @@ def test_sieve_detects_planted_relation():
 def test_sieve_proves_p_and_3q_at_ell_other_than_3():
     # every row at ell = 3 vanishes on 3Q, so only ell = 5 or 7 can prove the pair
     fam, spec = _spec_points()
-    pts = (spec.points[0], spec.curve().multiply(3, spec.points[1]))
+    pts = (spec.points[0], multiple(TwistedCurve(spec.base, spec.d), 3, spec.points[1]))
     primes = good_primes(SpecializedTwist(spec.u0, spec.d, spec.base, pts), 60)
     verdict = mod_p_relation_sieve(pts, spec.d, fam.base.f, primes)
     assert verdict.independent and verdict.rank == 2
@@ -151,10 +156,10 @@ def test_sieve_proves_p_and_3q_at_ell_other_than_3():
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3))
 def test_sieve_never_passes_dependent_inputs(m, n):
     fam, spec = _spec_points()
-    curve = spec.curve()
+    curve = TwistedCurve(spec.base, spec.d)
     p = spec.points[0]
-    q = curve.multiply(m, p)
-    r = curve.multiply(n, spec.points[1])
+    q = multiple(curve, m, p)
+    r = multiple(curve, n, spec.points[1])
     primes = good_primes(SpecializedTwist(spec.u0, spec.d, spec.base, (p, q, r)), 60)
     verdict = mod_p_relation_sieve((p, q, r), spec.d, fam.base.f, primes)
     assert not verdict.independent and verdict.rank <= 2
@@ -238,13 +243,25 @@ def test_a_p_is_computed_once_per_curve_and_prime(monkeypatch):
         calls[key] += 1
         return trace(*key)
 
-    monkeypatch.setattr(certify, "_REDUCTIONS", {})
+    certify._reductions.cache_clear()
     monkeypatch.setattr(certify, "_frobenius_trace", counting)
     fam = build(FamilySpec.make("thm4_5"))
     form = homog_form(fam.g, fam.provenance.get("factor_polys"))
     report = certified_density(fam, enumerate_S(form, grid=20, x_max=None))
     assert len(report.certifications) > 100 and calls
     assert max(calls.values()) == 1
+
+
+def test_reductions_keep_one_table_for_each_of_64_cubics():
+    certify._reductions.cache_clear()
+    f = build(FamilySpec.make("thm4_5")).base.f
+    table = certify._reductions(f)
+    assert certify._reductions(upoly(*f.coeffs)) is table
+    for c in range(1, 65):  # x^3 + c is nonsingular for c != 0
+        certify._reductions(upoly(c, 0, 0, 1))
+    info = certify._reductions.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+    assert certify._reductions(f) is not table  # the least recently used went first
 
 
 def test_good_primes_deterministic_and_floor():

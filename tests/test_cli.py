@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON round-trips, determinism, tamper detection."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from twistlab.catalog import ConstraintError, FamilySpec, build
 from twistlab.certify import BadPrimeError, CertifyError, certify_family
 from twistlab.cli import run
-from twistlab.curves import CurveError
+from twistlab.curves import INFINITY, CurveError, CurvePoint
 from twistlab.densitylab import DensityError
 from twistlab.exactmath import CheckError, ExactMathError
 from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
@@ -106,6 +107,32 @@ def test_certify_point_at_infinity_exits_1(capsys, tmp_path):
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, _ = _capture(capsys)
     assert json.loads(out)["failed_check"] == "nonconstant-x[2]"
+
+
+def _tampered_thm4_5():
+    # point 1 at infinity, and point 2 with its x shifted by 1
+    fam = build(FamilySpec.make("thm4_5"))
+    pts = list(fam.points)
+    pts[1] = CurvePoint(pts[1].x + 1, pts[1].y)
+    return [
+        (family_to_json(replace(fam, points=(INFINITY,) + fam.points[1:])), "nonconstant-x[1]"),
+        (family_to_json(replace(fam, points=tuple(pts))), "on-curve[2]"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", [["specialize", "--u0", "2"], ["density", "--grid", "4", "--certify"]], ids=["specialize", "density"]
+)
+def test_family_checks_run_before_specializing(capsys, tmp_path, command):
+    # specialize and density --certify fail on a bad point as certify does
+    path = tmp_path / "bad.json"
+    for payload, check in _tampered_thm4_5():
+        dump_json(payload, path=path)
+        assert run(["certify", "--family", str(path), "--json"]) == 1
+        assert json.loads(_capture(capsys)[0])["failed_check"] == check
+        assert run([command[0], "--family", str(path), *command[1:]]) == 1
+        out, err = _capture(capsys)
+        assert out == "" and err == f"check failed: certification aborted at check '{check}'\n"
 
 
 def test_certify_rejects_wrong_provenance_degree(capsys, tmp_path):

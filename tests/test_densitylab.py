@@ -273,11 +273,40 @@ def test_certified_density_subset_and_witnesses():
 
 def test_certified_density_threads_match_sequential():
     fam, form = _form("thm4_5")
-    rep = enumerate_S(form, grid=6, modulus=1, x_max=None, family="thm4_5")
+    # 22 D make two chunks, so two workers run
+    rep = enumerate_S(form, grid=8, modulus=1, x_max=None, family="thm4_5")
     seq = certified_density(fam, rep, prime_budget=10, threads=1)
     par = certified_density(fam, rep, prime_budget=10, threads=2)
     assert seq.certified_counts == par.certified_counts
     assert seq.certifications == par.certifications
+
+
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    fam, form = _form("thm4_5")
+    for grid, threads, workers in ((4, 64, []), (12, 64, [3]), (12, 2, [2])):
+        rep = enumerate_S(form, grid=grid, x_max=None)
+        out = certified_density(fam, rep, prime_budget=10, threads=threads)
+        assert sizes == workers, (grid, threads, len(rep.witnesses))
+        assert out.certifications == certified_density(fam, rep, prime_budget=10).certifications
+        sizes.clear()
 
 
 def test_certified_d_needs_the_claimed_rank():
