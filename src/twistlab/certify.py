@@ -146,12 +146,14 @@ class _ModCurve:
         return (x3, y3)
 
     def mul(self, n: int, pt):
-        acc = None
-        while n:
-            if n & 1:
+        """n*pt for n >= 0, by double-and-add from the top bit down."""
+        if not n:
+            return None
+        acc = pt
+        for bit in bin(n)[3:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
                 acc = self.add(acc, pt)
-            pt = self.add(pt, pt)
-            n >>= 1
         return acc
 
 
@@ -194,17 +196,21 @@ class _Reductions(dict):
 # one table per cubic, for the 64 cubics used last
 _reductions = functools.lru_cache(maxsize=64)(_Reductions)
 
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
 
 def _count_points(p: int, d: int, a_p: int) -> int:
     """#E_D(F_p) = p + 1 - (D/p)*a_p for D prime to p."""
     return p + 1 - a_p if pow(d, (p - 1) // 2, p) == 1 else p + 1 + a_p
 
 
-def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
+def good_primes(spec: SpecializedTwist, how_many: int, f_mod_p: _Reductions | None = None) -> list[int]:
     """The first `how_many` primes above max(ELLS) of good reduction for the
     specialized curve whose points reduce to affine points (fewer if the
-    small-prime table runs out), tested in table order."""
-    f_mod_p = _reductions(spec.base.f)
+    small-prime table runs out), tested in table order.  `f_mod_p` is the
+    reduction table of spec.base.f, looked up when not given."""
+    if f_mod_p is None:
+        f_mod_p = _reductions(spec.base.f)
     # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
     bad = spec.d
     for pt in spec.points:
@@ -275,47 +281,59 @@ class SieveVerdict:
         }
 
 
-def _reduce_at(p: int, pts, d: int, f_mod_p: _Reductions):
-    """The curve mod p, its point count, and the reduced points.
+def _reduce_at(p: int, d: int, den: int, f_mod_p: _Reductions):
+    """The curve mod p and its point count, from D mod p and a_p alone.
 
-    A point of D*y^2 = f(x) over Q whose coordinates are p-integral reduces
-    onto the curve mod p, so the reduced points are not tested again.
+    p must be a prime above max(ELLS) of good reduction and prime to D and
+    to den, the product of the points' coordinate denominators, else
+    BadPrimeError.  The points are not reduced here: the sieve reduces them
+    only at a prime whose count gives an F_ell row.  A p-integral point of
+    D*y^2 = f(x) over Q reduces onto the curve mod p, so the reduced points
+    are not tested again.
     """
-    reduction = f_mod_p[p] if p > ELLS[-1] and is_probable_prime(p) and d % p else None
+    reduction = f_mod_p[p] if p > ELLS[-1] and (p in _SMALL_PRIME_SET or is_probable_prime(p)) and d % p else None
     if reduction is None:
         raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
+    if den % p == 0:
+        raise BadPrimeError(f"denominator divisible by {p}")
     e2, e1, _, a_p = reduction
-    mc = _ModCurve(p, d, e2, e1)
-    reduced = [(_mod_frac(pt.x, p), _mod_frac(pt.y, p)) for pt in pts]
-    return mc, _count_points(p, d, a_p), reduced
+    return _ModCurve(p, d, e2, e1), _count_points(p, d, a_p)
 
 
-def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
+def mod_p_relation_sieve(points, d: int, f: UniPoly, primes, f_mod_p: _Reductions | None = None) -> SieveVerdict:
     """Prove a lower bound on the rank of the subgroup the points generate by
     reduction mod the given good primes, trying each ell in ELLS in turn.
 
     The points must lie on D*y^2 = f(x) over Q, as `specialize` proves of
-    the points it returns; here they are only reduced mod each prime.  The
-    first ell whose rows reach full rank, with a torsion prime, gives an
-    independent verdict; otherwise the best proved rank is reported.
+    the points it returns.  Each prime is checked and its point count taken
+    from D mod p and a_p; the points are reduced mod p only at a prime whose
+    count gives an F_ell row, v_ell(#E(F_p)) = 1.  The first ell whose rows
+    reach full rank, with a torsion prime, gives an independent verdict;
+    otherwise the best proved rank is reported.  `f_mod_p` is the reduction
+    table of f, looked up when not given.
     """
     pts = tuple(points)
     r = len(pts)
-    f_mod_p = _reductions(f)
-    reductions = {}
+    if f_mod_p is None:
+        f_mod_p = _reductions(f)
+    den = math.prod(pt.x.denominator * pt.y.denominator for pt in pts)
+    curves = {}
+    reduced = {}
     verdicts = []
     for ell in ELLS:
         basis: list = []
         used = []
         torsion = None
         for p in primes:
-            if p not in reductions:
-                reductions[p] = _reduce_at(p, pts, d, f_mod_p)
-            mc, order, reduced = reductions[p]
+            if p not in curves:
+                curves[p] = _reduce_at(p, d, den, f_mod_p)
+            mc, order = curves[p]
             if order % ell:
                 torsion = torsion or p
             elif order % (ell * ell) and len(basis) < r:
-                if _extend_basis(basis, _ell_row(mc, order, ell, reduced), ell):
+                if p not in reduced:
+                    reduced[p] = [(_mod_frac(pt.x, p), _mod_frac(pt.y, p)) for pt in pts]
+                if _extend_basis(basis, _ell_row(mc, order, ell, reduced[p]), ell):
                     used.append(p)
             if torsion and len(basis) == r:
                 break
@@ -330,8 +348,10 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
 
 def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVerdict:
     """The mod-ell verdict on the specialized points at their first
-    `prime_budget` good primes."""
-    return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, good_primes(spec, prime_budget))
+    `prime_budget` good primes, with one lookup of the reduction table."""
+    f_mod_p = _reductions(spec.base.f)
+    primes = good_primes(spec, prime_budget, f_mod_p)
+    return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, primes, f_mod_p)
 
 
 # ---------------------------------------------------------------------------

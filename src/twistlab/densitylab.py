@@ -330,6 +330,19 @@ def with_fit(report: DensityReport) -> DensityReport:
 # jobs per task sent to a certification worker
 _CHUNK = 16
 
+# (family, prime budget) of a pool worker, set once by its initializer
+_worker_family = None
+
+
+def _init_worker(fam: TwistFamily, prime_budget: int):
+    global _worker_family
+    _worker_family = fam, prime_budget
+
+
+def _certify_in_worker(job):
+    fam, prime_budget = _worker_family
+    return _certify_one((fam, *job, prime_budget))
+
 
 def _certify_one(args):
     fam, d, a, b, prime_budget = args
@@ -359,19 +372,22 @@ def certified_density(
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     structural_checks(fam)
-    jobs = [(fam, d, a, b, prime_budget) for d, (a, b) in sorted(report.witnesses.items())]
+    jobs = [(d, a, b) for d, (a, b) in sorted(report.witnesses.items())]
     records: dict[int, dict] = {}
     # at most one worker per chunk: fork starts every worker at the first submit
     workers = min(threads, -(-len(jobs) // _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for d, rec in pool.map(_certify_one, jobs, chunksize=_CHUNK):
+        # the family goes to each worker once, not with every job
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(fam, prime_budget)
+        ) as pool:
+            for d, rec in pool.map(_certify_in_worker, jobs, chunksize=_CHUNK):
                 records[d] = rec
     else:
         for job in jobs:
-            d, rec = _certify_one(job)
+            d, rec = _certify_one((fam, *job, prime_budget))
             records[d] = rec
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)

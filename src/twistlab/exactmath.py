@@ -76,15 +76,17 @@ class UniPoly:
 
     The zero polynomial has empty coefficients and degree -1.  Trailing zero
     coefficients are trimmed on construction, so equality is structural.
+    The coefficients cleared to integers are computed on first use and kept.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int_form")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_int_form", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("UniPoly is immutable")
@@ -276,10 +278,15 @@ class UniPoly:
         x = _as_rat(x)
         return Fraction(*self._at(x.numerator, x.denominator))
 
-    def _cleared(self) -> tuple[int, list[int]]:
-        """(L, [L*c for c in coeffs]) with L the least common denominator."""
-        den = lcm(*{c.denominator for c in self.coeffs})
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(L, (L*c for c in coeffs)) with L the least common denominator,
+        computed once per polynomial."""
+        cleared = self._int_form
+        if cleared is None:
+            den = lcm(*{c.denominator for c in self.coeffs})
+            cleared = den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            object.__setattr__(self, "_int_form", cleared)
+        return cleared
 
     def _at(self, a: int, b: int) -> tuple[int, int]:
         """(N, M) with N/M the value at a/b for b > 0: N is the form of the

@@ -1,6 +1,7 @@
 """Rank certificates: eigensplit, specialization, and the mod-ell reduction proof."""
 
 import json
+import math
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -191,6 +192,48 @@ def test_sieve_rejects_bad_prime():
             mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
 
 
+def test_sieve_rejects_a_prime_dividing_a_denominator():
+    # 17 is of good reduction and prime to D at u0 = 4, but point 1 has
+    # x = -161/867 with 867 = 3 * 17^2, so it does not reduce mod 17
+    fam = build(FamilySpec.make("thm4_5"))
+    spec = specialize(fam, 4)
+    assert spec.points[0].x == F(-161, 867) and spec.d % 17 and certify._reductions(fam.base.f)[17]
+    assert 17 not in good_primes(spec, 60)
+    for primes in ([17], [17] + good_primes(spec, 20)):
+        with pytest.raises(BadPrimeError, match="denominator divisible by 17"):
+            mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
+
+
+def test_points_are_reduced_only_at_row_primes(monkeypatch):
+    # one sieve call's _mod_frac primes are exactly its F_ell row primes,
+    # each reducing every coordinate once
+    fam = build(FamilySpec.make("thm4_5"))
+    report = enumerate_S(homog_form(fam.g, fam.provenance.get("factor_polys")), grid=12, x_max=None)
+    certified_density(fam, report, prime_budget=30)  # fills the a_p tables, which reduce f with _mod_frac
+    calls = []
+    mod_frac, ell_row, sieve = certify._mod_frac, certify._ell_row, certify.mod_p_relation_sieve
+
+    def counting_sieve(points, *args, **kwargs):
+        calls.append((len(points), Counter(), set()))
+        return sieve(points, *args, **kwargs)
+
+    def counting_mod_frac(q, p):
+        calls[-1][1][p] += 1
+        return mod_frac(q, p)
+
+    def counting_ell_row(mc, order, ell, reduced):
+        calls[-1][2].add(mc.p)
+        return ell_row(mc, order, ell, reduced)
+
+    monkeypatch.setattr(certify, "mod_p_relation_sieve", counting_sieve)
+    monkeypatch.setattr(certify, "_mod_frac", counting_mod_frac)
+    monkeypatch.setattr(certify, "_ell_row", counting_ell_row)
+    certified_density(fam, report, prime_budget=30)
+    assert len(calls) > 40
+    for r, reduced_at, row_primes in calls:
+        assert row_primes and reduced_at == {p: 2 * r for p in row_primes}
+
+
 def test_specialize_rejects_off_curve_point():
     # specialize is the one exact on-curve check of the points the sieve gets
     fam = build(FamilySpec.make("thm4_5"))
@@ -206,8 +249,10 @@ def test_specialize_rejects_off_curve_point():
 def test_ell_row_rejects_a_wrong_point_count():
     # a count off by ell keeps ell | order but sends the points outside E[ell]
     fam, spec = _spec_points()
+    den = math.prod(pt.x.denominator * pt.y.denominator for pt in spec.points)
     for p in good_primes(spec, 20):
-        mc, order, reduced = certify._reduce_at(p, spec.points, spec.d, certify._reductions(fam.base.f))
+        mc, order = certify._reduce_at(p, spec.d, den, certify._reductions(fam.base.f))
+        reduced = [(_mod_frac(pt.x, p), _mod_frac(pt.y, p)) for pt in spec.points]
         for ell in ELLS:
             if order % ell == 0 and order % (ell * ell):
                 assert len(_ell_row(mc, order, ell, reduced)) == len(reduced)

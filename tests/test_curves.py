@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import coord_height, multiple, upoly
 from twistlab.curves import (
@@ -190,3 +192,29 @@ def test_on_twist_cross_multiplied_over_function_field():
             assert on_twist(d, f, pt) and d * pt.y * pt.y == compose(f, pt.x), fid
             for moved in (CurvePoint(pt.x, pt.y + 1), CurvePoint(pt.x + u, pt.y)):
                 assert not on_twist(d, f, moved) and d * moved.y * moved.y != compose(f, moved.x), fid
+
+
+_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+_nonzero = _rationals.filter(bool)
+
+
+@given(
+    coeffs=st.lists(_rationals, min_size=4, max_size=4).filter(lambda cs: cs[3] != 0),
+    x=_rationals,
+    y=_nonzero,
+    shift=_nonzero,
+    integral=st.booleans(),
+)
+def test_on_twist_over_q_agrees_with_fractions(coeffs, x, y, shift, integral):
+    # the integer test dn*yn^2*M == N*dd*yd^2 against d*y^2 == f(x) in
+    # Fractions, on a point made to lie on the twist and on its perturbations
+    f = UniPoly(coeffs)
+    if integral:  # int coordinates and d, which on_twist reads as n/1
+        x, y = x.numerator, y.numerator
+    fx = f(x)
+    d = fx / (y * y) if fx else shift
+    if integral and d.denominator == 1:
+        d = d.numerator
+    for dd, xx, yy in ((d, x, y), (d + shift, x, y), (d, x + shift, y), (d, x, y + shift), (-d, x, y), (d, -x, -y)):
+        assert on_twist(dd, f, CurvePoint(xx, yy)) == (dd * yy * yy == f(xx)), (dd, xx, yy)
+    assert on_twist(d, f, CurvePoint(x, y)) == bool(fx)

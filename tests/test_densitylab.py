@@ -287,8 +287,9 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -300,6 +301,7 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(densitylab, "_worker_family", None)
     fam, form = _form("thm4_5")
     for grid, threads, workers in ((4, 64, []), (12, 64, [3]), (12, 2, [2])):
         rep = enumerate_S(form, grid=grid, x_max=None)
@@ -307,6 +309,26 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
         assert sizes == workers, (grid, threads, len(rep.witnesses))
         assert out.certifications == certified_density(fam, rep, prime_budget=10).certifications
         sizes.clear()
+
+
+def test_each_polynomial_is_cleared_once(monkeypatch):
+    # the census evaluates g and the point coordinates at every D; each
+    # polynomial clears its coefficients to integers once, not once per D
+    cleared = []
+    clear = UniPoly._cleared
+
+    def counting(self):
+        if self._int_form is None:
+            cleared.append(self)
+        return clear(self)
+
+    fam, form = _form("thm4_5")
+    rep = enumerate_S(form, grid=50, x_max=None)
+    monkeypatch.setattr(UniPoly, "_cleared", counting)
+    certified_density(fam, rep)
+    assert len(rep.witnesses) > 700 and cleared
+    assert max(Counter(map(id, cleared)).values()) == 1
+    assert len(cleared) < 100
 
 
 def test_certified_d_needs_the_claimed_rank():
