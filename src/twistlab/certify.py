@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from .curves import CubicCurve, CurvePoint, on_twist
 from .exactmath import (
@@ -27,7 +27,6 @@ from .exactmath import (
     T,
     UniPoly,
     discriminant_cubic,
-    is_probable_prime,
     rat_to_str,
     rational_sqrt,
     squarefree_part_int,
@@ -173,30 +172,30 @@ def _frobenius_trace(p: int, e2: int, e1: int, e0: int) -> int:
 
 
 class _Reductions(dict):
-    """A monic cubic f mod each prime p, filled on first use: (e2, e1, e0,
-    a_p) with f = x^3 + e2*x^2 + e1*x + e0 mod p, or None where p divides a
-    coefficient's denominator or the discriminant.  One a_p serves every
-    twist: D*y^2 = f(x) has p + 1 - (D/p)*a_p points over F_p."""
+    """A monic cubic f mod each of its good primes.  `primes` lists, in
+    table order, the small primes above max(ELLS) that divide neither a
+    coefficient's denominator nor the discriminant; table[p] is (e2, e1, e0,
+    a_p) with f = x^3 + e2*x^2 + e1*x + e0 mod p, filled on first use, and
+    any other p raises BadPrimeError.  One a_p serves every twist:
+    D*y^2 = f(x) has p + 1 - (D/p)*a_p points over F_p."""
 
     def __init__(self, f: UniPoly):
         super().__init__()
         self.coeffs = (f.coeff(2), f.coeff(1), f.coeff(0))
         disc = discriminant_cubic(f)
-        self.bad = disc.numerator * disc.denominator * math.prod(c.denominator for c in self.coeffs)
+        bad = disc.numerator * disc.denominator * math.prod(c.denominator for c in self.coeffs)
+        self.primes = [p for p in _SMALL_PRIMES if p > ELLS[-1] and bad % p]
 
     def __missing__(self, p: int):
-        reduction = None
-        if self.bad % p:
-            e2, e1, e0 = (_mod_frac(c, p) for c in self.coeffs)
-            reduction = (e2, e1, e0, _frobenius_trace(p, e2, e1, e0))
-        self[p] = reduction
+        if p not in self.primes:
+            raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
+        e2, e1, e0 = (_mod_frac(c, p) for c in self.coeffs)
+        reduction = self[p] = (e2, e1, e0, _frobenius_trace(p, e2, e1, e0))
         return reduction
 
 
 # one table per cubic, for the 64 cubics used last
 _reductions = functools.lru_cache(maxsize=64)(_Reductions)
-
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 def _count_points(p: int, d: int, a_p: int) -> int:
@@ -204,24 +203,15 @@ def _count_points(p: int, d: int, a_p: int) -> int:
     return p + 1 - a_p if pow(d, (p - 1) // 2, p) == 1 else p + 1 + a_p
 
 
-def good_primes(spec: SpecializedTwist, how_many: int, f_mod_p: _Reductions | None = None) -> list[int]:
-    """The first `how_many` primes above max(ELLS) of good reduction for the
-    specialized curve whose points reduce to affine points (fewer if the
-    small-prime table runs out), tested in table order.  `f_mod_p` is the
-    reduction table of spec.base.f, looked up when not given."""
-    if f_mod_p is None:
-        f_mod_p = _reductions(spec.base.f)
+def good_primes(spec: SpecializedTwist, how_many: int) -> list[int]:
+    """The first `how_many` good primes of spec.base.f, in table order,
+    that divide neither D nor a coordinate denominator of the points (fewer
+    if the table runs out)."""
     # a point reducing to (x, 0) mod p is 2-torsion there; harmless, keep p
     bad = spec.d
     for pt in spec.points:
         bad *= pt.x.denominator * pt.y.denominator
-    primes = []
-    for p in _SMALL_PRIMES:
-        if p > ELLS[-1] and bad % p and f_mod_p[p]:
-            primes.append(p)
-            if len(primes) == how_many:
-                break
-    return primes
+    return list(islice((p for p in _reductions(spec.base.f).primes if bad % p), how_many))
 
 
 def _ell_row(mc: _ModCurve, order: int, ell: int, reduced) -> list[int]:
@@ -281,41 +271,39 @@ class SieveVerdict:
         }
 
 
-def _reduce_at(p: int, d: int, den: int, f_mod_p: _Reductions):
+def _reduce_at(p: int, d: int, den: int, table: _Reductions):
     """The curve mod p and its point count, from D mod p and a_p alone.
 
-    p must be a prime above max(ELLS) of good reduction and prime to D and
-    to den, the product of the points' coordinate denominators, else
+    p must be a good prime of the reduction table and prime to D and to
+    den, the product of the points' coordinate denominators, else
     BadPrimeError.  The points are not reduced here: the sieve reduces them
     only at a prime whose count gives an F_ell row.  A p-integral point of
     D*y^2 = f(x) over Q reduces onto the curve mod p, so the reduced points
     are not tested again.
     """
-    reduction = f_mod_p[p] if p > ELLS[-1] and (p in _SMALL_PRIME_SET or is_probable_prime(p)) and d % p else None
-    if reduction is None:
-        raise BadPrimeError(f"{p} is not a prime above {ELLS[-1]} of good reduction")
+    e2, e1, _, a_p = table[p]
+    if d % p == 0:
+        raise BadPrimeError(f"{p} divides D")
     if den % p == 0:
         raise BadPrimeError(f"denominator divisible by {p}")
-    e2, e1, _, a_p = reduction
     return _ModCurve(p, d, e2, e1), _count_points(p, d, a_p)
 
 
-def mod_p_relation_sieve(points, d: int, f: UniPoly, primes, f_mod_p: _Reductions | None = None) -> SieveVerdict:
+def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     """Prove a lower bound on the rank of the subgroup the points generate by
     reduction mod the given good primes, trying each ell in ELLS in turn.
 
     The points must lie on D*y^2 = f(x) over Q, as `specialize` proves of
-    the points it returns.  Each prime is checked and its point count taken
-    from D mod p and a_p; the points are reduced mod p only at a prime whose
+    the points it returns.  Each prime must be one of the good primes of f
+    (see good_primes), else BadPrimeError, and its point count is taken from
+    D mod p and a_p; the points are reduced mod p only at a prime whose
     count gives an F_ell row, v_ell(#E(F_p)) = 1.  The first ell whose rows
     reach full rank, with a torsion prime, gives an independent verdict;
-    otherwise the best proved rank is reported.  `f_mod_p` is the reduction
-    table of f, looked up when not given.
+    otherwise the best proved rank is reported.
     """
     pts = tuple(points)
     r = len(pts)
-    if f_mod_p is None:
-        f_mod_p = _reductions(f)
+    table = _reductions(f)
     den = math.prod(pt.x.denominator * pt.y.denominator for pt in pts)
     curves = {}
     reduced = {}
@@ -326,7 +314,7 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes, f_mod_p: _Reduction
         torsion = None
         for p in primes:
             if p not in curves:
-                curves[p] = _reduce_at(p, d, den, f_mod_p)
+                curves[p] = _reduce_at(p, d, den, table)
             mc, order = curves[p]
             if order % ell:
                 torsion = torsion or p
@@ -348,10 +336,8 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes, f_mod_p: _Reduction
 
 def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVerdict:
     """The mod-ell verdict on the specialized points at their first
-    `prime_budget` good primes, with one lookup of the reduction table."""
-    f_mod_p = _reductions(spec.base.f)
-    primes = good_primes(spec, prime_budget, f_mod_p)
-    return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, primes, f_mod_p)
+    `prime_budget` good primes."""
+    return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, good_primes(spec, prime_budget))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import starmap
 from math import gcd, isqrt
 
 from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize, structural_checks
@@ -340,12 +342,10 @@ def _init_worker(fam: TwistFamily, prime_budget: int):
 
 
 def _certify_in_worker(job):
-    fam, prime_budget = _worker_family
-    return _certify_one((fam, *job, prime_budget))
+    return _certify_one(*_worker_family, *job)
 
 
-def _certify_one(args):
-    fam, d, a, b, prime_budget = args
+def _certify_one(fam: TwistFamily, prime_budget: int, d: int, a: int, b: int):
     u0 = Fraction(a, b)
     try:
         spec = specialize(fam, u0, d)
@@ -373,7 +373,6 @@ def certified_density(
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     structural_checks(fam)
     jobs = [(d, a, b) for d, (a, b) in sorted(report.witnesses.items())]
-    records: dict[int, dict] = {}
     # at most one worker per chunk: fork starts every worker at the first submit
     workers = min(threads, -(-len(jobs) // _CHUNK))
     if workers > 1:
@@ -383,12 +382,9 @@ def certified_density(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(fam, prime_budget)
         ) as pool:
-            for d, rec in pool.map(_certify_in_worker, jobs, chunksize=_CHUNK):
-                records[d] = rec
+            records = dict(pool.map(_certify_in_worker, jobs, chunksize=_CHUNK))
     else:
-        for job in jobs:
-            d, rec = _certify_one((fam, *job, prime_budget))
-            records[d] = rec
+        records = dict(starmap(partial(_certify_one, fam, prime_budget), jobs))
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)
     return replace(report, certified_counts=certified_counts, certifications=records)

@@ -186,8 +186,9 @@ def test_sieve_empty_points_trivially_independent():
 def test_sieve_rejects_bad_prime():
     fam, spec = _spec_points()
     assert spec.d % 17 == 0
-    # a prime at most max(ELLS), a prime dividing d, a composite
-    for primes in ([3], [17], [15]):
+    assert all(4099 % q for q in range(2, math.isqrt(4099) + 1))
+    # a prime at most max(ELLS), a prime dividing d, a composite, a prime above the table
+    for primes in ([3], [17], [15], [4099]):
         with pytest.raises(BadPrimeError):
             mod_p_relation_sieve(spec.points, spec.d, fam.base.f, primes)
 
@@ -309,16 +310,23 @@ def test_reductions_keep_one_table_for_each_of_64_cubics():
     assert certify._reductions(f) is not table  # the least recently used went first
 
 
-def test_good_primes_deterministic_and_floor():
+def test_good_primes_deterministic_and_floor(monkeypatch):
+    # the first 25 primes above 7 of a brute-force filter, found without any a_p
+    def no_trace(*args):
+        raise AssertionError("good_primes computed an a_p")
+
+    certify._reductions.cache_clear()
+    monkeypatch.setattr(certify, "_frobenius_trace", no_trace)
     fam, spec = _spec_points()
     a = good_primes(spec, 25)
-    assert a == good_primes(spec, 25) and len(a) == 25
-    assert a == sorted(a) and all(p > 7 for p in a)
+    assert a == good_primes(spec, 25)
     disc = discriminant_cubic(fam.base.f)
     bad = 2 * spec.d * disc.numerator * disc.denominator
+    bad *= math.prod(c.denominator for c in fam.base.f.coeffs)
     for pt in spec.points:
         bad *= pt.x.denominator * pt.y.denominator
-    assert all(bad % p != 0 for p in a)
+    brute = (p for p in range(8, 10 ** 4) if all(p % q for q in range(2, math.isqrt(p) + 1)) and bad % p)
+    assert a == [next(brute) for _ in range(25)]
 
 
 def test_certificates_for_rank3_families():

@@ -363,7 +363,7 @@ def test_wrong_d_is_a_witness_mismatch():
     rep = enumerate_S(form, grid=8, x_max=None)
     for d, (a, b) in sorted(rep.witnesses.items())[:4]:
         for wrong in (-d, 13 * d):
-            _, rec = densitylab._certify_one((fam, wrong, a, b, 10))
+            _, rec = densitylab._certify_one(fam, 10, wrong, a, b)
             expected = '{"u0": "%s", "certified": false, "reason": "witness mismatch"}' % Fraction(a, b)
             assert json.dumps(rec) == expected, (d, wrong)
 
