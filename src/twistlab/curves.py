@@ -61,16 +61,12 @@ def on_twist(d: FieldElem, f: UniPoly, pt: CurvePoint) -> bool:
     """Exact test of d*y^2 == f(x) for d and the coordinates in Q or Q(u);
     infinity is on every twist, and d itself is not checked.
 
-    With d = dn/dd, x = xn/xd and y = yn/yd, the test over Q is
-    dn*yn^2*M == N*dd*yd^2 in Z for f(x) = N/M, and over Q(u) it is
+    With d = dn/dd, x = xn/xd and y = yn/yd, the test is
     dn*yn^2*xd^n == F(xn, xd)*dd*yd^2 in Q[u] for F the degree-n
-    homogenization of f, so no quotient is reduced."""
+    homogenization of f, so no quotient is reduced; a rational value is
+    read as a constant of Q(u)."""
     if pt.is_infinity:
         return True
-    if not any(isinstance(v, RatFunc) for v in (d, pt.x, pt.y)):
-        x, y = pt.x, pt.y
-        n, m = f._at(x.numerator, x.denominator)
-        return d.numerator * y.numerator * y.numerator * m == n * d.denominator * y.denominator * y.denominator
     d, x, y = (v if isinstance(v, RatFunc) else RatFunc(v) for v in (d, pt.x, pt.y))
     n = max(f.degree, 0)
     return d.num * y.num * y.num * x.den ** n == f.eval_homog(x.num, x.den, n) * d.den * y.den * y.den

@@ -72,9 +72,6 @@ class HomogForm:
     def max_abs_bound(self, grid: int) -> int:
         return sum(abs(c) for c in self.coeffs) * grid ** self.degree
 
-    def evaluate(self, a: int, b: int) -> int:
-        return eval_form(self.coeffs, a, b, self.degree)
-
     def squarefree_value(self, a: int, b: int) -> int | None:
         """Squarefree part of F(a, b), or None when F(a, b) = 0, from the
         factorization of every factor value."""
@@ -350,8 +347,6 @@ def _certify_one(fam: TwistFamily, prime_budget: int, d: int, a: int, b: int):
     try:
         spec = specialize(fam, u0, d)
     except CertifyError as exc:
-        if exc.check_name != "specialize":
-            raise
         return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
     verdict = certify_specialization(spec, prime_budget)
     rec = {"u0": rat_to_str(u0), "certified": verdict.rank >= fam.claimed_rank, **verdict.to_json()}
@@ -366,9 +361,10 @@ def certified_density(
 ) -> DensityReport:
     """Attach an independence verdict to every counted D, certified when
     the proved rank reaches the family's claimed rank.  The family's
-    structural checks run first, once.  A D whose u0 hits a root of g or a
-    pole of a point, or whose g(u0)/D is not a square, is recorded as not
-    certified; any other CertifyError aborts."""
+    structural checks run first, once, and prove every specialized point
+    on its curve.  A D whose u0 hits a root of g or a pole of a point, or
+    whose g(u0)/D is not a square, is recorded as not certified; a
+    CertifyError of the sieve, such as a wrong point count, aborts."""
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     structural_checks(fam)

@@ -27,6 +27,7 @@ from twistlab.certify import (
     good_primes,
     mod_p_relation_sieve,
     specialize,
+    structural_checks,
 )
 from twistlab.curves import CubicCurve, CurvePoint, TwistedCurve
 from twistlab.densitylab import certified_density, enumerate_S, homog_form
@@ -92,7 +93,12 @@ def test_specialize_takes_the_sieves_d():
         fam = build(FamilySpec.make(fid))
         report = enumerate_S(homog_form(fam.g, fam.provenance.get("factor_polys")), grid=20, x_max=None)
         for d, (a, b) in report.witnesses.items():
-            assert _specialized(fam, F(a, b), d) == _specialized(fam, F(a, b)), (fid, d)
+            spec = _specialized(fam, F(a, b), d)
+            assert spec == _specialized(fam, F(a, b)), (fid, d)
+            if isinstance(spec, SpecializedTwist):
+                # the oracle of the on-curve fact that structural_checks proves over Q(u)
+                curve = TwistedCurve(spec.base, spec.d)
+                assert all(curve.contains(p) for p in spec.points), (fid, d)
 
 
 def test_specialize_rejects_a_d_off_its_square_class(monkeypatch):
@@ -236,15 +242,17 @@ def test_points_are_reduced_only_at_row_primes(monkeypatch):
 
 
 def test_specialize_rejects_off_curve_point():
-    # specialize is the one exact on-curve check of the points the sieve gets
+    # structural_checks is the one on-curve check: it proves g*y^2 = f(x)
+    # over Q(u), which every specialization inherits, so specialize, whose
+    # callers all run it first, does not test the points again
     fam = build(FamilySpec.make("thm4_5"))
     pts = list(fam.points)
     pts[1] = CurvePoint(pts[1].x + 1, pts[1].y)
     tampered = TwistFamily(fam.base, fam.g, tuple(pts), fam.claimed_rank, fam.provenance)
-    with pytest.raises(CertifyError) as err:
-        specialize(tampered, 2)
-    assert err.value.check_name == "specialized-on-curve"
-    assert "point 2" in str(err.value)
+    for check in (structural_checks, certify_family):
+        with pytest.raises(CertifyError) as err:
+            check(tampered)
+        assert err.value.check_name == "on-curve[2]"
 
 
 def test_ell_row_rejects_a_wrong_point_count():
@@ -436,21 +444,21 @@ def test_u0_walk_skips_poles():
 def test_u0_walk_raises_internal_errors(monkeypatch):
     calls = []
 
-    def off_curve(d, f, pt):
-        calls.append(pt)
+    def wrong_count(mc, order, ell, reduced):
+        calls.append(mc.p)
         if len(calls) > 50:
             raise RuntimeError("the u0 walk skipped an internal error")
-        return False
+        raise CertifyError("point-count", f"#E(F_{mc.p}) = {order} is wrong (internal error)")
 
-    monkeypatch.setattr(certify, "on_twist", off_curve)
+    monkeypatch.setattr(certify, "_ell_row", wrong_count)
     with pytest.raises(CertifyError) as err:
         certify_family(build(FamilySpec.make("thm4_5")))
-    assert err.value.check_name == "specialized-on-curve"
-    assert "left the curve (internal error)" in str(err.value)
+    assert err.value.check_name == "point-count"
+    assert "is wrong (internal error)" in str(err.value)
 
 
 def test_certify_error_survives_pickling():
-    err = CertifyError("specialized-on-curve", "specialized point 1 left the curve (internal error)")
+    err = CertifyError("point-count", "#E(F_11) = 12 is wrong (internal error)")
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is CertifyError and back.check_name == err.check_name and str(back) == str(err)
     back = pickle.loads(pickle.dumps(CertifyError("g-degree")))

@@ -1,15 +1,17 @@
 """Squarefree-twist counting: forms, enumeration, fitting, certification."""
 
 import hashlib
+import inspect
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from twistlab import certify, densitylab
+from twistlab import certify, curves, densitylab
 from twistlab.certify import CertifyError
 from twistlab.catalog import FAMILY_IDS, FamilySpec, build, build_pipeline
 from twistlab.densitylab import (
@@ -22,7 +24,7 @@ from twistlab.densitylab import (
     sieved_values,
     with_fit,
 )
-from twistlab.exactmath import UniPoly, is_probable_prime, squarefree_part_int
+from twistlab.exactmath import UniPoly, eval_form, is_probable_prime, squarefree_part_int
 from twistlab.twistforge import TwistFamily
 
 
@@ -31,20 +33,25 @@ def _form(fid):
     return fam, homog_form(fam.g, fam.provenance.get("factor_polys"))
 
 
+def _value(form, a, b):
+    """F(a, b), evaluated directly from the whole form."""
+    return eval_form(form.coeffs, a, b, form.degree)
+
+
 def test_eval_form_reproduces_g():
     fam, form = _form("thm4_5")
     assert form.k == 6
-    assert form.evaluate(2, 1) == -29274
-    assert form.evaluate(0, 1) == 6  # the constant coefficient
+    assert _value(form, 2, 1) == -29274
+    assert _value(form, 0, 1) == 6  # the constant coefficient
     # F(a, 1) = g(a)
     for a in range(1, 6):
-        assert form.evaluate(a, 1) == UniPoly(fam.g.coeffs)(Fraction(a))
+        assert _value(form, a, 1) == UniPoly(fam.g.coeffs)(Fraction(a))
 
 
 def test_form_homogeneity():
     _, form = _form("thm4_5")
     for a, b in ((1, 2), (3, 5), (2, 7)):
-        assert form.evaluate(2 * a, 2 * b) == 2 ** (2 * form.k) * form.evaluate(a, b)
+        assert _value(form, 2 * a, 2 * b) == 2 ** (2 * form.k) * _value(form, a, b)
 
 
 def test_form_clears_denominators():
@@ -60,7 +67,7 @@ def test_factored_path_matches_direct_factorization():
         assert form.factor_coeffs  # the catalog supplies a split
         for _ in range(60):
             a, b = rng.randint(1, 40), rng.randint(1, 40)
-            direct = form.evaluate(a, b)
+            direct = _value(form, a, b)
             got = form.squarefree_value(a, b)
             if direct == 0:
                 assert got is None
@@ -149,7 +156,7 @@ def _sieve_against_oracle(form, grid):
     seen = set()
     zeros = 0
     for a, b, d in sieved_values(form, grid):
-        value = form.evaluate(a, b)
+        value = _value(form, a, b)
         if value == 0:
             assert d is None, (a, b)
             zeros += 1
@@ -193,8 +200,8 @@ def test_sieve_factors_cofactors_that_share_a_prime(monkeypatch):
 def test_single_cell_grid():
     _, form = _form("thm4_5")
     rep = enumerate_S(form, grid=1, modulus=1, x_max=10 ** 9)
-    assert set(rep.witnesses) == {squarefree_part_int(form.evaluate(1, 1))}
-    assert rep.witnesses[squarefree_part_int(form.evaluate(1, 1))] == (1, 1)
+    assert set(rep.witnesses) == {squarefree_part_int(_value(form, 1, 1))}
+    assert rep.witnesses[squarefree_part_int(_value(form, 1, 1))] == (1, 1)
 
 
 def test_counts_nondecreasing_and_bounded():
@@ -209,7 +216,7 @@ def test_counts_nondecreasing_and_bounded():
 def test_dedup_keeps_smallest_witness():
     _, form = _form("thm4_5")
     # the palindromic g gives F(1,2) = F(2,1); the (a+b, a)-smallest pair wins
-    assert form.evaluate(1, 2) == form.evaluate(2, 1) == -29274
+    assert _value(form, 1, 2) == _value(form, 2, 1) == -29274
     rep = enumerate_S(form, grid=2, modulus=1, x_max=None)
     assert rep.witnesses[-29274] == (1, 2)
 
@@ -369,26 +376,38 @@ def test_wrong_d_is_a_witness_mismatch():
 
 
 def test_internal_certify_errors_abort_the_census(monkeypatch):
-    monkeypatch.setattr(certify, "on_twist", lambda d, f, pt: False)
+    def wrong_count(mc, order, ell, reduced):
+        raise CertifyError("point-count", f"#E(F_{mc.p}) = {order} is wrong (internal error)")
+
+    monkeypatch.setattr(certify, "_ell_row", wrong_count)
     fam, form = _form("thm4_5")
-    rep = enumerate_S(form, grid=4, x_max=None)
-    with pytest.raises(CertifyError) as err:
-        certified_density(fam, rep)
-    assert err.value.check_name == "specialized-on-curve"
+    rep = enumerate_S(form, grid=8, x_max=None)
+    assert len(rep.witnesses) > densitylab._CHUNK  # so two threads start two workers
+    for threads in (1, 2):
+        with pytest.raises(CertifyError) as err:
+            certified_density(fam, rep, threads=threads)
+        assert err.value.check_name == "point-count"
+        assert "is wrong (internal error)" in str(err.value)
 
 
-def test_each_specialized_point_is_checked_once(monkeypatch):
-    calls = Counter()
-    on_twist = certify.on_twist
+def test_on_curve_is_checked_only_by_the_family_checks(monkeypatch):
+    # structural_checks proves g*y^2 = f(x) over Q(u) once; no specialized
+    # point is tested again
+    fam, form = _form("thm4_5")
+    report = enumerate_S(form, grid=12, x_max=None)
+    callers = []
+    on_twist = curves.on_twist
 
-    def counting(d, f, pt):
-        calls[d, pt] += 1
+    def recording(d, f, pt):
+        callers.append(any(frame.function == "validate_family" for frame in inspect.stack(0)))
         return on_twist(d, f, pt)
 
-    monkeypatch.setattr(certify, "on_twist", counting)
-    fam, form = _form("thm4_5")
-    certified_density(fam, enumerate_S(form, grid=12, x_max=None), prime_budget=15)
-    assert calls and max(calls.values()) == 1
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twistlab" and getattr(module, "on_twist", None) is on_twist:
+            monkeypatch.setattr(module, "on_twist", recording)
+    report = certified_density(fam, report)
+    assert len(report.certifications) > 20
+    assert len(callers) == len(fam.points) and all(callers)
 
 
 def test_report_json_round_trip_fields():
