@@ -121,6 +121,8 @@ def test_root_table_edge_cases():
 WITNESS_SHA256 = {
     ("cor3_2", 120, 1): "c7987e2498dcf7a0ab64acfded8e924b1a4d6d1aa1fb028837182692962e93ef",
     ("thm4_5", 120, 1): "4e56a98d89d491231a11ef610d73d091013e4ca0e337c4f5f3bfea2c2e0df133",
+    ("cor3_2", 300, 1): "806cee896b0499796d98ddde14e9ee28c3e0dfd529e9ffcdf8c7414ec089f055",
+    ("thm4_5", 300, 1): "ffee754e34077f378bded5c26aacd77e37e843da2f73c3eafd518a3f29f7dab1",
     ("cor3_2", 30, 1): "bb00f771f55dd14971fffaf3cae54edb70d9b6f2a675daacb044700e0a78a6c0",
     ("cor3_2", 30, 3): "349da920391da9336de87ceaddc21166dcdedf26fb7acfd8a989c738bdb4e279",
     ("cor3_3", 30, 1): "a55096809edfebd27f9bf43a6ffbcc2d267cc042b78297e886618f625ee4b829",
