@@ -12,7 +12,7 @@ independent by the mod-ell reduction certificate of `certify`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -22,11 +22,10 @@ from math import gcd, isqrt
 from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize, structural_checks
 from .exactmath import (
     ONE,
-    SMALL_PRIME_BOUND,
     CheckError,
     RatFunc,
     UniPoly,
-    _SMALL_PRIMES,
+    _sieve,
     eval_form,
     factorize,
     rat_to_str,
@@ -162,14 +161,17 @@ def _default_x_grid(x_max: int | None, cap: int) -> tuple[int, ...]:
 
 
 # The sieve primes stop at the least B with B^3 above every factor value on
-# the grid, and at exactmath.SMALL_PRIME_BOUND, where its prime table stops.
-# A value stripped of the primes up to B then leaves a cofactor c < B^3 whose
-# primes all exceed B: c is 1, q, q^2 or q*r, so c is either a square or
-# squarefree, and one isqrt tells which.
+# the grid, and at _SIEVE_BOUND_CAP.  A value stripped of the primes up to B
+# then leaves a cofactor c < B^3 whose primes all exceed B: c is 1, q, q^2 or
+# q*r, so c is either a square or squarefree, and one isqrt tells which.
+# Past the cap, a cofactor can reach B^3 and is factored instead.
+_SIEVE_BOUND_CAP = 8192
+
+
 def _sieve_bound(factors, grid: int) -> int:
     largest = max(sum(abs(c) for c in fc) * grid ** (len(fc) - 1) for fc in factors)
     bound = 2
-    while bound < SMALL_PRIME_BOUND and bound ** 3 <= largest:
+    while bound < _SIEVE_BOUND_CAP and bound ** 3 <= largest:
         bound += 1
     return bound
 
@@ -180,13 +182,25 @@ def _root_table(fc, primes) -> list[tuple[int, list[int], bool]]:
 
     Each residue mod p has one representative x in [0, p), so f(x, 1) is
     evaluated once for each x below the largest prime, and x is a root mod
-    each prime above x that divides the value."""
+    each prime above x that divides the value.  Those primes divide
+    gcd(f(x, 1), P), with P the product of the primes above x: the gcd is
+    mostly 1 or one prime, and is trial-divided only when it is composite,
+    at an integer root (gcd(0, P) = P) or where two primes divide the value."""
+    deg = len(fc) - 1
     roots = {p: [] for p in primes}
+    above = math.prod(primes)  # the product of primes[i:], the primes above x
+    i = 0
     for x in range(primes[-1]):
-        v = eval_form(fc, x, 1, len(fc) - 1)
-        for p in primes[bisect_right(primes, x):]:
-            if v % p == 0:
-                roots[p].append(x)
+        while primes[i] <= x:
+            above //= primes[i]
+            i += 1
+        g = gcd(eval_form(fc, x, 1, deg), above)
+        if g in roots:
+            roots[g].append(x)
+        elif g > 1:
+            for p in primes[i:]:
+                if g % p == 0:
+                    roots[p].append(x)
     table = []
     for p in primes:
         lead = fc[-1] % p == 0
@@ -195,10 +209,14 @@ def _root_table(fc, primes) -> list[tuple[int, list[int], bool]]:
     return table
 
 
-def _sieve_row(fc, table, b: int, row: list[int], grid: int, square_free: list[int]) -> list[int]:
-    """|f(a, b)| for each a of the row with its primes from the table removed,
-    indexed by a and 0 elsewhere; the sign and the primes of odd exponent are
-    toggled into square_free[a]."""
+def _sieve_row(fc, small, large, b: int, row: list[int], grid: int, square_free: list[int]) -> list[int]:
+    """|f(a, b)| for each a of the row with its primes from the root table
+    removed, indexed by a and 0 elsewhere; the sign and the primes of odd
+    exponent are toggled into square_free[a].
+
+    small holds the table's entries with p <= grid, and large its pairs
+    (p, r) with p > grid: such a p never divides b, and its root r hits the
+    row at most once, at a = r*b mod p."""
     deg = len(fc) - 1
     row_coeffs = [c * b ** (deg - i) for i, c in enumerate(fc)][::-1]
     values = [0] * (grid + 1)
@@ -210,26 +228,26 @@ def _sieve_row(fc, table, b: int, row: list[int], grid: int, square_free: list[i
             square_free[a] = -square_free[a]
             v = -v
         values[a] = v
-    for p, roots, lead in table:
+    hits = []
+    for p, roots, lead in small:
         if b % p:
-            hits = [a for r in roots for a in range(r * b % p or p, grid + 1, p)]
+            hits += [(a, p) for r in roots for a in range(r * b % p or p, grid + 1, p)]
         elif lead:
-            hits = row
-        else:
+            hits += [(a, p) for a in row]
+    hits += [(a, p) for p, r in large if 0 < (a := r * b % p) <= grid]
+    for a, p in hits:
+        v = values[a]
+        if not v:  # off the row, or a zero of f
             continue
-        for a in hits:
-            v = values[a]
-            if not v:  # off the row, or a zero of f
-                continue
+        v //= p
+        odd = True
+        while not v % p:
             v //= p
-            odd = True
-            while not v % p:
-                v //= p
-                odd = not odd
-            values[a] = v
-            if odd:
-                s = square_free[a]
-                square_free[a] = s // p if s % p == 0 else s * p
+            odd = not odd
+        values[a] = v
+        if odd:
+            s = square_free[a]
+            square_free[a] = s // p if s % p == 0 else s * p
     return values
 
 
@@ -248,14 +266,19 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
     factors = form.factor_coeffs
     bound = _sieve_bound(factors, grid)
     cube = bound ** 3
-    primes = [p for p in _SMALL_PRIMES if p <= bound]
-    tables = [_root_table(fc, primes) for fc in factors]
+    primes = _sieve(bound)
+    tables = []
+    for fc in factors:
+        table = _root_table(fc, primes)
+        small = [entry for entry in table if entry[0] <= grid]
+        large = [(p, r) for p, roots, _ in table if p > grid for r in roots]
+        tables.append((small, large))
     for b in range(1, grid + 1, modulus):
         row = [a for a in range(1, grid + 1, modulus) if gcd(a, b) == 1]
         square_free = [0] * (grid + 1)
         for a in row:
             square_free[a] = 1
-        cofactors = [_sieve_row(fc, table, b, row, grid, square_free) for fc, table in zip(factors, tables)]
+        cofactors = [_sieve_row(fc, *table, b, row, grid, square_free) for fc, table in zip(factors, tables)]
         for a in row:
             rough = [values[a] for values in cofactors]
             if 0 in rough:

@@ -662,8 +662,7 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-# factorize divides out every prime up to this bound by trial division, and
-# the density sieve sieves by no prime above it.
+# factorize divides out every prime up to this bound by trial division.
 SMALL_PRIME_BOUND = 4096
 _SMALL_PRIMES = _sieve(SMALL_PRIME_BOUND)
 _PRIME_CHUNKS = [

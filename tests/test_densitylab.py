@@ -101,6 +101,16 @@ def test_root_table_matches_brute_force():
         smaller = primes[: primes.index(p)]
         sieve_primes = sorted(companions.sample(smaller, min(3, len(smaller)))) + [p]
         assert densitylab._root_table(coeffs, sieve_primes) == _brute_root_table(coeffs, sieve_primes), (coeffs, sieve_primes)
+    # the primes between SMALL_PRIME_BOUND and the sieve's cap, with integer
+    # roots among them so that one value has several primes above it
+    large = [p for p in range(4097, 8193) if is_probable_prime(p)]
+    for _ in range(12):
+        sieve_primes = sorted(rng.sample(large, 3))
+        coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:
+            r = rng.randrange(sieve_primes[0])
+            coeffs = [-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))] + [coeffs[-1]]
+        assert densitylab._root_table(coeffs, sieve_primes) == _brute_root_table(coeffs, sieve_primes), (coeffs, sieve_primes)
 
 
 def test_root_table_edge_cases():
@@ -115,6 +125,11 @@ def test_root_table_edge_cases():
     assert table([1, 0, 6], [2, 3, 5, 7]) == [(2, [], True), (3, [], True), (5, [2, 3], False), (7, [1, 6], False)]
     # the integer root 3 of x - 3 is a root mod every prime above it
     assert table([-3, 1], [2, 3, 5, 7]) == [(2, [1], False), (3, [0], False), (5, [3], False), (7, [3], False)]
+    # x - 15 is -15 = -3*5 at 0 and -14 = -2*7 at 1: two primes above x divide one value
+    assert table([-15, 1], [2, 3, 5, 7]) == [(2, [1], False), (3, [0], False), (5, [0], False), (7, [1], False)]
+    assert table([-(4099 * 4111 + 5), 1], [4099, 4111]) == [(4099, [5], False), (4111, [5], False)]
+    # 128^2 = 2^14 = 2 mod 8191 = 2^13 - 1
+    assert table([-2, 0, 1], [4099, 8191]) == [(8191, [128, 8063], False)]  # 2 is a nonresidue mod 4099
 
 # sha256 of the sorted (D, witness) list from enumerate_S with x_max=None,
 # keyed by (family, grid, modulus); the nine defaults run at grid 30
@@ -185,9 +200,19 @@ def test_sieve_matches_factorization_oracle(monkeypatch):
             fam = route(FamilySpec.make(fid))
             factored.clear()
             zeros += _sieve_against_oracle(homog_form(fam.g, fam.provenance.get("factor_polys")), 18)
-            if fid == "mestre3_4":  # the degree-12 factor leaves cofactors above B^3 = 4096^3
+            if fid == "mestre3_4":  # the degree-12 factor leaves cofactors above B^3 = 8192^3
                 assert factored
     assert zeros  # thm4_3 has the linear factor a - 2b
+
+
+def test_sieve_needs_no_factoring_below_the_cap(monkeypatch):
+    # cor3_2 at grid 300 sieves to B = 5712, the least B with B^3 above its
+    # factor values, so no pair falls back to factorize
+    factored = _record_factored(monkeypatch)
+    _, form = _form("cor3_2")
+    assert densitylab._sieve_bound(form.factor_coeffs, 300) == 5712
+    assert sum(1 for _ in sieved_values(form, 300)) == 54795
+    assert factored == []
 
 
 def test_sieve_factors_cofactors_that_share_a_prime(monkeypatch):
