@@ -234,10 +234,10 @@ def _sieve_row(fc, small, large, b: int, row: list[int], grid: int, square_free:
             hits += [(a, p) for r in roots for a in range(r * b % p or p, grid + 1, p)]
         elif lead:
             hits += [(a, p) for a in row]
-    hits += [(a, p) for p, r in large if 0 < (a := r * b % p) <= grid]
+    hits += [(a, p) for p, r in large if (a := r * b % p) <= grid]
     for a, p in hits:
         v = values[a]
-        if not v:  # off the row, or a zero of f
+        if not v:  # off the row (a = 0 included), or a zero of f
             continue
         v //= p
         odd = True
@@ -278,7 +278,9 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
         square_free = [0] * (grid + 1)
         for a in row:
             square_free[a] = 1
-        cofactors = [_sieve_row(fc, *table, b, row, grid, square_free) for fc, table in zip(factors, tables)]
+        cofactors = [
+            _sieve_row(fc, small, large, b, row, grid, square_free) for fc, (small, large) in zip(factors, tables)
+        ]
         for a in row:
             rough = [values[a] for values in cofactors]
             if 0 in rough:
