@@ -376,20 +376,23 @@ def test_certified_d_needs_the_claimed_rank():
     assert set(out.certified_counts) == {0}
 
 
-# sha256 of the `certifications` payload of certified_density at grid 30 with
-# x_max=None: every verdict, its primes, ell and torsion prime
+# sha256 of the `certifications` payload of certified_density with x_max=None,
+# by (family, grid): every verdict, its primes, ell and torsion prime.  Grid 50
+# is the payload of the census benchmarks.
 CERTIFICATION_SHA256 = {
-    "thm4_5": "4725083b3c83aa66629c6540253aebbcebd9aa3d3e9a3b8e5e74381c90c0f7cb",
-    "cor3_2": "30545589e528840edcc8f06b33ca8c9765aa38ed0ba5113e9fe330b4e7dca3a4",
+    ("thm4_5", 30): "4725083b3c83aa66629c6540253aebbcebd9aa3d3e9a3b8e5e74381c90c0f7cb",
+    ("cor3_2", 30): "30545589e528840edcc8f06b33ca8c9765aa38ed0ba5113e9fe330b4e7dca3a4",
+    ("thm4_5", 50): "89d7f3776053f1d8f415425efaf7f0acf6d09a998e9d771d8ca6411b1b27ff16",
+    ("cor3_2", 50): "cafc57c39d8cd7af0f64581c032f303974de98280a5805aa0502ef2fd7345643",
 }
 
 
 def test_certification_digests():
-    for fid, digest in CERTIFICATION_SHA256.items():
+    for (fid, grid), digest in CERTIFICATION_SHA256.items():
         fam, form = _form(fid)
-        rep = certified_density(fam, enumerate_S(form, grid=30, x_max=None, family=fid))
+        rep = certified_density(fam, enumerate_S(form, grid=grid, x_max=None, family=fid))
         text = json.dumps(rep.to_json()["certifications"])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, fid
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (fid, grid)
 
 
 def test_wrong_d_is_a_witness_mismatch():
