@@ -23,10 +23,12 @@ from .curves import CubicCurve, CurvePoint
 from .exactmath import (
     _SMALL_PRIMES,
     CheckError,
+    ONE,
     ExactMathError,
     T,
     UniPoly,
     discriminant_cubic,
+    eval_form,
     rat_to_str,
     rational_sqrt,
     squarefree_part_int,
@@ -276,12 +278,8 @@ def _reduce_at(p: int, d: int, den: int, table: _Reductions):
 
     p must be a good prime of the reduction table and prime to D and to
     den, the product of the points' coordinate denominators, else
-    BadPrimeError; this is the one check that the points reduce mod p.  The
-    points are not reduced here: the sieve reduces them only at a prime
-    whose count gives an F_ell row.  A p-integral point of D*y^2 = f(x) over
-    Q reduces onto the curve mod p, so the reduced points are not tested
-    again.
-    """
+    BadPrimeError: this is the one check that the points reduce mod p, onto
+    the curve, so that the reduced points are not tested again."""
     e2, e1, _, a_p = table[p]
     if d % p == 0:
         raise BadPrimeError(f"{p} divides D")
@@ -290,39 +288,33 @@ def _reduce_at(p: int, d: int, den: int, table: _Reductions):
     return _ModCurve(p, d, e2, e1), _count_points(p, d, a_p)
 
 
-def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
-    """Prove a lower bound on the rank of the subgroup the points generate by
-    reduction mod the given good primes, trying each ell in ELLS in turn.
+def _sieve_rows(reductions, r: int) -> SieveVerdict:
+    """The mod-ell verdict on r points, trying each ell in ELLS in turn.
 
-    The points must lie on D*y^2 = f(x) over Q, as the points `specialize`
-    returns do; the sieve does not test them.  Each prime must be one of
-    the good primes of f (see good_primes), else BadPrimeError, and its
-    point count is taken from D mod p and a_p; the points are reduced mod p
-    only at a prime whose count gives an F_ell row, v_ell(#E(F_p)) = 1.  The
-    first ell whose rows reach full rank, with a torsion prime, gives an
-    independent verdict; otherwise the best proved rank is reported.
+    reductions yields (p, #E(F_p), row) at good primes, read lazily and
+    once; row(ell), the F_ell row at p, is asked for only where
+    v_ell(#E(F_p)) = 1.  The first ell whose rows reach rank r, with a
+    torsion prime, gives an independent verdict; else the best rank does.
     """
-    pts = tuple(points)
-    r = len(pts)
-    table = _reductions(f)
-    den = math.prod(pt.x.denominator * pt.y.denominator for pt in pts)
-    curves = {}
-    reduced = {}
+    seen = []
+    source = iter(reductions)
+
+    def walk():
+        yield from seen
+        for item in source:
+            seen.append(item)
+            yield item
+
     verdicts = []
     for ell in ELLS:
         basis: list = []
         used = []
         torsion = None
-        for p in primes:
-            if p not in curves:
-                curves[p] = _reduce_at(p, d, den, table)
-            mc, order = curves[p]
+        for p, order, row in walk():
             if order % ell:
                 torsion = torsion or p
             elif order % (ell * ell) and len(basis) < r:
-                if p not in reduced:
-                    reduced[p] = [(_mod_frac(pt.x, p), _mod_frac(pt.y, p)) for pt in pts]
-                if _extend_basis(basis, _ell_row(mc, order, ell, reduced[p]), ell):
+                if _extend_basis(basis, row(ell), ell):
                     used.append(p)
             if torsion and len(basis) == r:
                 break
@@ -335,10 +327,159 @@ def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
     return max(verdicts, key=lambda v: v.rank)
 
 
+def _point_row(mc: _ModCurve, order: int, pts, reduced: list, ell: int) -> list[int]:
+    """The F_ell row of points over Q at mc.p, reducing them into `reduced`
+    on first use."""
+    if not reduced:
+        reduced += [(_mod_frac(pt.x, mc.p), _mod_frac(pt.y, mc.p)) for pt in pts]
+    return _ell_row(mc, order, ell, reduced)
+
+
+def mod_p_relation_sieve(points, d: int, f: UniPoly, primes) -> SieveVerdict:
+    """Prove a lower bound on the rank of the subgroup the points generate by
+    reduction mod the given good primes, trying each ell in ELLS in turn.
+
+    The points must lie on D*y^2 = f(x) over Q, as the points `specialize`
+    returns do; the sieve does not test them.  Each prime must be one of
+    the good primes of f (see good_primes), else BadPrimeError, and its
+    point count is taken from D mod p and a_p; the points are reduced mod p
+    only at a prime whose count gives an F_ell row, v_ell(#E(F_p)) = 1.
+    """
+    pts = tuple(points)
+    table = _reductions(f)
+    den = math.prod(pt.x.denominator * pt.y.denominator for pt in pts)
+
+    def reductions():
+        for p in primes:
+            mc, order = _reduce_at(p, d, den, table)
+            yield p, order, functools.partial(_point_row, mc, order, pts, [])
+
+    return _sieve_rows(reductions(), len(pts))
+
+
 def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVerdict:
     """The mod-ell verdict on the specialized points at their first
     `prime_budget` good primes."""
     return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, good_primes(spec, prime_budget))
+
+
+# ---------------------------------------------------------------------------
+# Residue tables: a family's rows by u0 mod p
+# ---------------------------------------------------------------------------
+
+# how u0 = rho mod p reduces; 0 is not yet screened
+_GOOD, _ROOT, _BAD, _UNDECIDED = 1, 2, 3, 4
+
+
+class _Undecided(Exception):
+    """Raised where the residue table cannot decide a D."""
+
+
+class ResidueTable:
+    """A family's mod-ell verdicts, from F_ell rows kept by prime and residue.
+
+    With u0 = a/b, 2k = deg F and G(a, b) = b^(2k) g(u0), a family point
+    gives X = x(u0) and Y = y(u0)/b^k on G*Y^2 = f(X), ratios of forms in
+    (a, b) that mod p may be taken at (rho, 1), rho = a/b mod p, or at
+    (1, 0) when p | b (rho = p).  If g(u0) = D*w^2 and p is prime to
+    D*G(rho), (X, Y) -> (X, b^k*w*Y) maps c*Y^2 = f(X), c = G(rho), onto
+    D*y^2 = f(x) over F_p and the family's points at rho onto the
+    specialized points, so #E(F_p) and every row of _ell_row depend on
+    (p, rho, ell) alone.  screens[p], a bytearray(p + 1), classes rho as
+    good (no coordinate denominator vanishes, G(rho) != 0), root (none
+    vanishes, G(rho) = 0: prime to D, the points reduce to (x, 0), whose
+    row is zero at odd ell), bad (one vanishes but not its numerator, so
+    good_primes skips p) or undecided (a 0/0, a pole of Y at a root, or p
+    in a cleared denominator).
+    """
+
+    def __init__(self, fam: TwistFamily):
+        self.fam = fam
+        self.table = _reductions(fam.base.f)
+        k = (fam.g.degree + 1) // 2
+        self.g_den, g = fam.g._cleared()
+        self.g = (g, 2 * k)
+        self.undecided = self.g_den
+        self.coords = []  # (numerator form, denominator form, is a Y), a form as (coefficients, degree)
+        for pt in fam.points:
+            for rf, shift in ((pt.x, 0), (pt.y, k)):
+                (ln, num), (ld, den) = rf.num._cleared(), rf.den._cleared()
+                self.undecided *= ln * ld
+                s = rf.den.degree - rf.num.degree - shift  # the coordinate is num * b^s / den
+                num_form = (tuple(c * ld for c in num), rf.num.degree + max(s, 0))
+                self.coords.append((num_form, (tuple(c * ln for c in den), rf.den.degree + max(-s, 0)), shift > 0))
+        # each denominator divides a power of rad, so rad(rho) != 0 mod p clears them all
+        dens = math.prod((rf.den for pt in fam.points for rf in (pt.x, pt.y)), start=ONE)
+        rad = (dens / dens.gcd(dens.derivative()))._cleared()[1]
+        self.rad = (rad, len(rad) - 1)
+        self.screens: dict[int, bytearray] = {}
+        self.rows: dict = {}  # (p, rho, ell) -> F_ell row
+
+    @staticmethod
+    def _at(form, rho: int, p: int) -> int:
+        coeffs, degree = form
+        return eval_form(coeffs, *((rho, 1) if rho < p else (1, 0)), degree) % p
+
+    def _screen(self, p: int, rho: int) -> int:
+        if self.undecided % p == 0:
+            return _UNDECIDED
+        root = not self._at(self.g, rho, p)
+        code = _ROOT if root else _GOOD
+        if rho < p and self._at(self.rad, rho, p):
+            return code
+        for num, den, is_y in self.coords:
+            if not self._at(den, rho, p):
+                if self._at(num, rho, p) and not (is_y and root):
+                    return _BAD
+                code = _UNDECIDED
+        return code
+
+    def _row(self, p: int, rho: int, order: int, ell: int) -> list[int]:
+        if (p, rho, ell) not in self.rows:
+            e2, e1, _, _ = self.table[p]
+            c = self._at(self.g, rho, p) * pow(self.g_den, -1, p)
+            xy = [self._at(num, rho, p) * pow(self._at(den, rho, p), -1, p) % p for num, den, _ in self.coords]
+            reduced = list(zip(xy[::2], xy[1::2]))
+            self.rows[p, rho, ell] = _ell_row(_ModCurve(p, c, e2, e1), order, ell, reduced)
+        return self.rows[p, rho, ell]
+
+    def _reductions_at(self, d: int, a: int, b: int, how_many: int):
+        """(p, #E_D(F_p), row) at the first how_many primes that good_primes
+        would take for u0 = a/b; _Undecided at an undecided prime, or when
+        no prime is good."""
+        good = 0
+        zero = [0] * len(self.fam.points)
+        for p in self.table.primes:
+            if d % p == 0:
+                continue
+            rho = a * pow(b, -1, p) % p if b % p else p
+            screen = self.screens.get(p) or self.screens.setdefault(p, bytearray(p + 1))
+            code = screen[rho] = screen[rho] or self._screen(p, rho)
+            if code == _BAD:
+                continue
+            if code == _UNDECIDED:
+                raise _Undecided
+            order = _count_points(p, d, self.table[p][3])
+            yield p, order, (lambda ell: zero) if code == _ROOT else functools.partial(self._row, p, rho, order)
+            good += 1
+            if good == how_many:
+                return
+        if not good:
+            raise _Undecided
+
+    def verdict(self, d: int, a: int, b: int, prime_budget: int) -> SieveVerdict | None:
+        """certify_specialization(specialize(fam, a/b, d), prime_budget) for
+        coprime a and b > 0, or None where the table cannot decide it.  An
+        exact check that g(a/b)/D is a nonzero rational square proves
+        g(u0) != 0; a good or root prime proves that u0 is not a pole, as a
+        form that is nonzero mod p is nonzero."""
+        num, den = self.fam.g._at(a, b)
+        if not num or rational_sqrt(Fraction(num, den * d)) is None:
+            return None
+        try:
+            return _sieve_rows(self._reductions_at(d, a, b, prime_budget), len(self.fam.points))
+        except _Undecided:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from functools import partial
 from itertools import starmap
 from math import gcd, isqrt
 
-from .certify import DEFAULT_PRIME_BUDGET, CertifyError, certify_specialization, specialize, structural_checks
+from .certify import (
+    DEFAULT_PRIME_BUDGET,
+    CertifyError,
+    ResidueTable,
+    certify_specialization,
+    specialize,
+    structural_checks,
+)
 from .exactmath import (
     ONE,
     CheckError,
@@ -251,6 +258,21 @@ def _sieve_row(fc, small, large, b: int, row: list[int], grid: int, square_free:
     return values
 
 
+def _constant_start(factors, primes) -> tuple[int, tuple]:
+    """(s, the nonconstant factors), s the signed squarefree part of the
+    constant factors, which starts every D, when its primes are sieve
+    primes; otherwise (1, factors)."""
+    c = math.prod(fc[0] for fc in factors if len(fc) == 1)
+    start, rest = (1 if c > 0 else -1), abs(c)
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+            start = start // p if start % p == 0 else start * p
+    if rest != 1:
+        return 1, factors
+    return start, tuple(fc for fc in factors if len(fc) > 1)
+
+
 def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
     """Yield (a, b, D) for every coprime pair a, b in [1, grid] with
     a = b = 1 (mod modulus), row by row in b, with D the squarefree part of
@@ -267,6 +289,7 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
     bound = _sieve_bound(factors, grid)
     cube = bound ** 3
     primes = _sieve(bound)
+    start, factors = _constant_start(factors, primes)
     tables = []
     for fc in factors:
         table = _root_table(fc, primes)
@@ -277,7 +300,7 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
         row = [a for a in range(1, grid + 1, modulus) if gcd(a, b) == 1]
         square_free = [0] * (grid + 1)
         for a in row:
-            square_free[a] = 1
+            square_free[a] = start
         cofactors = [
             _sieve_row(fc, small, large, b, row, grid, square_free) for fc, (small, large) in zip(factors, tables)
         ]
@@ -354,27 +377,29 @@ def with_fit(report: DensityReport) -> DensityReport:
 # jobs per task sent to a certification worker
 _CHUNK = 16
 
-# (family, prime budget) of a pool worker, set once by its initializer
+# (residue table, prime budget) of a pool worker, set once by its initializer
 _worker_family = None
 
 
 def _init_worker(fam: TwistFamily, prime_budget: int):
     global _worker_family
-    _worker_family = fam, prime_budget
+    _worker_family = ResidueTable(fam), prime_budget
 
 
 def _certify_in_worker(job):
     return _certify_one(*_worker_family, *job)
 
 
-def _certify_one(fam: TwistFamily, prime_budget: int, d: int, a: int, b: int):
+def _certify_one(table: ResidueTable, prime_budget: int, d: int, a: int, b: int):
     u0 = Fraction(a, b)
-    try:
-        spec = specialize(fam, u0, d)
-    except CertifyError as exc:
-        return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
-    verdict = certify_specialization(spec, prime_budget)
-    rec = {"u0": rat_to_str(u0), "certified": verdict.rank >= fam.claimed_rank, **verdict.to_json()}
+    verdict = table.verdict(d, a, b, prime_budget)
+    if verdict is None:  # the table cannot decide this D
+        try:
+            spec = specialize(table.fam, u0, d)
+        except CertifyError as exc:
+            return d, {"u0": rat_to_str(u0), "certified": False, "reason": str(exc)}
+        verdict = certify_specialization(spec, prime_budget)
+    rec = {"u0": rat_to_str(u0), "certified": verdict.rank >= table.fam.claimed_rank, **verdict.to_json()}
     return d, rec
 
 
@@ -405,7 +430,7 @@ def certified_density(
         ) as pool:
             records = dict(pool.map(_certify_in_worker, jobs, chunksize=_CHUNK))
     else:
-        records = dict(starmap(partial(_certify_one, fam, prime_budget), jobs))
+        records = dict(starmap(partial(_certify_one, ResidueTable(fam), prime_budget), jobs))
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)
     return replace(report, certified_counts=certified_counts, certifications=records)

@@ -23,6 +23,7 @@ from twistlab.certify import (
     _mod_frac,
     automorphism_classification,
     certify_family,
+    certify_specialization,
     genus_upper_bound,
     good_primes,
     mod_p_relation_sieve,
@@ -213,10 +214,18 @@ def test_sieve_rejects_a_prime_dividing_a_denominator():
 
 def test_points_are_reduced_only_at_row_primes(monkeypatch):
     # one sieve call's _mod_frac primes are exactly its F_ell row primes,
-    # each reducing every coordinate once
+    # each reducing every coordinate once; the sieve runs on the census D
+    # at grid 12, which the census itself reads from the residue table
     fam = build(FamilySpec.make("thm4_5"))
     report = enumerate_S(homog_form(fam.g, fam.provenance.get("factor_polys")), grid=12, x_max=None)
-    certified_density(fam, report, prime_budget=30)  # fills the a_p tables, which reduce f with _mod_frac
+    specs = []
+    for d, (a, b) in sorted(report.witnesses.items()):
+        try:
+            specs.append(specialize(fam, F(a, b), d))
+        except CertifyError:  # a pole
+            pass
+    for spec in specs:  # fills the a_p tables, which reduce f with _mod_frac
+        certify_specialization(spec, 30)
     calls = []
     mod_frac, ell_row, sieve = certify._mod_frac, certify._ell_row, certify.mod_p_relation_sieve
 
@@ -235,7 +244,8 @@ def test_points_are_reduced_only_at_row_primes(monkeypatch):
     monkeypatch.setattr(certify, "mod_p_relation_sieve", counting_sieve)
     monkeypatch.setattr(certify, "_mod_frac", counting_mod_frac)
     monkeypatch.setattr(certify, "_ell_row", counting_ell_row)
-    certified_density(fam, report, prime_budget=30)
+    for spec in specs:
+        certify_specialization(spec, 30)
     assert len(calls) > 40
     for r, reduced_at, row_primes in calls:
         assert row_primes and reduced_at == {p: 2 * r for p in row_primes}

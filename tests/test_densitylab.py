@@ -24,7 +24,8 @@ from twistlab.densitylab import (
     sieved_values,
     with_fit,
 )
-from twistlab.exactmath import UniPoly, eval_form, is_probable_prime, squarefree_part_int
+from twistlab.curves import CurvePoint
+from twistlab.exactmath import RatFunc, UniPoly, compose, eval_form, is_probable_prime, squarefree_part_int
 from twistlab.twistforge import TwistFamily
 
 
@@ -395,12 +396,124 @@ def test_certification_digests():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (fid, grid)
 
 
+def _rho(a, b, p):
+    """u0 = a/b mod p, with p standing for infinity."""
+    return a * pow(b, -1, p) % p if b % p else p
+
+
+def test_residue_table_matches_the_exact_path():
+    # at every D and every table prime up to the budget, the table skips,
+    # keeps and counts as good_primes and _reduce_at do, and its rows are
+    # the _ell_row rows of the specialized points; thm4_1 has good primes at
+    # u0 = infinity and thm4_3 a 0/0 that the table leaves undecided
+    budget = certify.DEFAULT_PRIME_BUDGET
+    classes = Counter()
+    for fid, grid in (("thm4_5", 50), ("cor3_2", 50), ("thm4_1", 20), ("thm4_3", 20)):
+        fam, form = _form(fid)
+        table = certify.ResidueTable(fam)
+        for d, (a, b) in sorted(enumerate_S(form, grid=grid, x_max=None).witnesses.items()):
+            try:
+                walk = list(table._reductions_at(d, a, b, budget))
+            except certify._Undecided:  # a pole (no good prime) or an undecided prime
+                assert table.verdict(d, a, b, budget) is None
+                classes["undecided"] += 1
+                continue
+            spec = certify.specialize(fam, Fraction(a, b), d)
+            good = certify.good_primes(spec, budget)
+            assert [p for p, _, _ in walk] == good, (fid, d)
+            den = math.prod(pt.x.denominator * pt.y.denominator for pt in spec.points)
+            for p, order, row in walk:
+                mc, exact_order = certify._reduce_at(p, d, den, table.table)
+                assert order == exact_order, (fid, d, p)
+                reduced = [(certify._mod_frac(pt.x, p), certify._mod_frac(pt.y, p)) for pt in spec.points]
+                for ell in certify.ELLS:
+                    if order % ell == 0 and order % (ell * ell):
+                        assert row(ell) == certify._ell_row(mc, order, ell, reduced), (fid, d, p, ell)
+                rho = _rho(a, b, p)
+                classes["good at infinity"] += rho == p
+                classes["p | W"] += table.screens[p][rho] == certify._ROOT
+            for p in table.table.primes:
+                if p > good[-1]:
+                    break
+                if p not in good and d % p:
+                    classes["bad at infinity" if b % p == 0 else "bad"] += 1
+            assert table.verdict(d, a, b, budget) == certify.certify_specialization(spec, budget), (fid, d)
+    assert all(classes[name] for name in ("good at infinity", "bad at infinity", "p | W", "bad", "undecided")), classes
+
+
+def _census_jobs(fid, grid):
+    fam, form = _form(fid)
+    return fam, [(d, a, b) for d, (a, b) in sorted(enumerate_S(form, grid=grid, x_max=None).witnesses.items())]
+
+
+def test_the_census_reads_its_memoized_rows():
+    fam, jobs = _census_jobs("thm4_5", 12)
+    table = certify.ResidueTable(fam)
+    before = [densitylab._certify_one(table, 60, *job) for job in jobs]
+    d, rec = next(out for out in before if out[1]["certified"])
+    a, b = next((a, b) for dd, a, b in jobs if dd == d)
+    p = rec["primes"][0]
+    key = (p, _rho(a, b, p), rec["ell"])
+    assert any(table.rows[key])  # the first row of a proof
+    table.rows[key] = [0] * len(fam.points)
+    after = [densitylab._certify_one(table, 60, *job) for job in jobs]
+    assert after != before
+    assert dict(after)[d]["primes"] != rec["primes"]
+
+
+def test_an_undecided_prime_falls_back_to_the_exact_path(monkeypatch):
+    specialized = []
+    specialize = densitylab.specialize
+
+    def recording(fam, u0, d):
+        specialized.append(u0)
+        return specialize(fam, u0, d)
+
+    monkeypatch.setattr(densitylab, "specialize", recording)
+    fam, jobs = _census_jobs("thm4_5", 12)
+    table = certify.ResidueTable(fam)
+    d, a, b = jobs[3]
+    _, rec = densitylab._certify_one(table, 60, d, a, b)
+    assert rec["certified"] and not specialized
+    p = rec["primes"][0]
+    table.screens[p][_rho(a, b, p)] = certify._UNDECIDED
+    assert densitylab._certify_one(table, 60, d, a, b) == (d, rec)
+    assert specialized == [Fraction(a, b)]
+    # u -> u/11 puts 11, the first table prime, into the cleared denominator
+    # of g: it is undecided at every residue, so each D is specialized
+    shift = RatFunc(UniPoly([0, Fraction(1, 11)]))
+    pts = tuple(CurvePoint(pt.x.compose(shift), pt.y.compose(shift)) for pt in fam.points)
+    scaled = TwistFamily(fam.base, compose(fam.g, shift).num, pts, 3, fam.provenance)
+    report = enumerate_S(homog_form(scaled.g), grid=8, x_max=None)
+    specialized.clear()
+    records = certified_density(scaled, report, prime_budget=20).certifications
+    assert len(specialized) == len(records) > 10
+    for d, (a, b) in report.witnesses.items():
+        exact = certify.certify_specialization(specialize(scaled, Fraction(a, b), d), 20)
+        assert records[d] == {"u0": str(Fraction(a, b)), "certified": exact.rank >= 3, **exact.to_json()}
+
+
+def test_the_grid_50_census_specializes_at_most_once(monkeypatch):
+    specialized = []
+    specialize = densitylab.specialize
+
+    def recording(fam, u0, d):
+        specialized.append(u0)
+        return specialize(fam, u0, d)
+
+    monkeypatch.setattr(densitylab, "specialize", recording)
+    fam, form = _form("thm4_5")
+    report = certified_density(fam, enumerate_S(form, grid=50, x_max=None))
+    assert len(report.certifications) == 774
+    assert specialized == [Fraction(1)]  # u0 = 1 is a pole of the second point
+
+
 def test_wrong_d_is_a_witness_mismatch():
     fam, form = _form("thm4_5")
     rep = enumerate_S(form, grid=8, x_max=None)
     for d, (a, b) in sorted(rep.witnesses.items())[:4]:
         for wrong in (-d, 13 * d):
-            _, rec = densitylab._certify_one(fam, 10, wrong, a, b)
+            _, rec = densitylab._certify_one(certify.ResidueTable(fam), 10, wrong, a, b)
             expected = '{"u0": "%s", "certified": false, "reason": "witness mismatch"}' % Fraction(a, b)
             assert json.dumps(rec) == expected, (d, wrong)
 

@@ -34,16 +34,18 @@ def test_traced_names_resolve():
         assert callable(target), (mod_name, path, span_name)
 
 
+# the census reads its verdicts from certify.ResidueTable, which the tracer
+# does not name; only the certificate runs good_primes and the sieve
 @pytest.mark.parametrize(
-    "argv, counters",
+    "argv, span, counters",
     [
-        (["density", "--grid", "8", "--certify", "--threads", "1"],
-         ("sieve.primes", "good_primes.primes", "enumerate_S.distinct")),
-        (["certify"], ("sieve.primes", "good_primes.primes")),
+        (["density", "--grid", "8", "--certify", "--threads", "1"], "densitylab.certified_density",
+         ("enumerate_S.distinct",)),
+        (["certify"], "certify.sieve", ("sieve.primes", "good_primes.primes")),
     ],
     ids=["density", "certify"],
 )
-def test_traced_command_counts_its_work(tmp_path, argv, counters):
+def test_traced_command_counts_its_work(tmp_path, argv, span, counters):
     family = tmp_path / "thm4_5.json"
     dump_json(family_to_json(build(FamilySpec.make("thm4_5"))), path=family)
     trace = tmp_path / "trace"
@@ -55,6 +57,6 @@ def test_traced_command_counts_its_work(tmp_path, argv, counters):
     assert done.returncode == 0, done.stderr
     (summary_path,) = trace.glob("0-*.json")
     summary = json.loads(summary_path.read_text())
-    assert summary["spans"]["certify.sieve"]["calls"] > 0
+    assert summary["spans"][span]["calls"] > 0
     for name in counters:
         assert summary["counters"].get(name, 0) > 0, name
