@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, tee
 
 from .curves import CubicCurve, CurvePoint
 from .exactmath import (
@@ -28,7 +28,6 @@ from .exactmath import (
     T,
     UniPoly,
     discriminant_cubic,
-    eval_form,
     rat_to_str,
     rational_sqrt,
     squarefree_part_int,
@@ -296,21 +295,12 @@ def _sieve_rows(reductions, r: int) -> SieveVerdict:
     v_ell(#E(F_p)) = 1.  The first ell whose rows reach rank r, with a
     torsion prime, gives an independent verdict; else the best rank does.
     """
-    seen = []
-    source = iter(reductions)
-
-    def walk():
-        yield from seen
-        for item in source:
-            seen.append(item)
-            yield item
-
     verdicts = []
-    for ell in ELLS:
+    for ell, walk in zip(ELLS, tee(reductions, len(ELLS))):
         basis: list = []
         used = []
         torsion = None
-        for p, order, row in walk():
+        for p, order, row in walk:
             if order % ell:
                 torsion = torsion or p
             elif order % (ell * ell) and len(basis) < r:
@@ -417,8 +407,14 @@ class ResidueTable:
 
     @staticmethod
     def _at(form, rho: int, p: int) -> int:
+        """The form at (rho, 1) mod p, or at (1, 0) for rho = p."""
         coeffs, degree = form
-        return eval_form(coeffs, *((rho, 1) if rho < p else (1, 0)), degree) % p
+        if rho == p:
+            return coeffs[degree] % p if len(coeffs) == degree + 1 else 0
+        v = 0
+        for c in reversed(coeffs):
+            v = v * rho + c
+        return v % p
 
     def _screen(self, p: int, rho: int) -> int:
         if self.undecided % p == 0:
@@ -449,17 +445,18 @@ class ResidueTable:
         no prime is good."""
         good = 0
         zero = [0] * len(self.fam.points)
-        for p in self.table.primes:
+        table, screens = self.table, self.screens
+        for p in table.primes:
             if d % p == 0:
                 continue
             rho = a * pow(b, -1, p) % p if b % p else p
-            screen = self.screens.get(p) or self.screens.setdefault(p, bytearray(p + 1))
+            screen = screens.get(p) or screens.setdefault(p, bytearray(p + 1))
             code = screen[rho] = screen[rho] or self._screen(p, rho)
             if code == _BAD:
                 continue
             if code == _UNDECIDED:
                 raise _Undecided
-            order = _count_points(p, d, self.table[p][3])
+            order = _count_points(p, d, table[p][3])
             yield p, order, (lambda ell: zero) if code == _ROOT else functools.partial(self._row, p, rho, order)
             good += 1
             if good == how_many:
@@ -474,7 +471,8 @@ class ResidueTable:
         g(u0) != 0; a good or root prime proves that u0 is not a pole, as a
         form that is nonzero mod p is nonzero."""
         num, den = self.fam.g._at(a, b)
-        if not num or rational_sqrt(Fraction(num, den * d)) is None:
+        square = num * den * d  # g(a/b)/D = num/(den*D)
+        if square <= 0 or math.isqrt(square) ** 2 != square:
             return None
         try:
             return _sieve_rows(self._reductions_at(d, a, b, prime_budget), len(self.fam.points))
