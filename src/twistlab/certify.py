@@ -353,11 +353,7 @@ def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVe
     return mod_p_relation_sieve(spec.points, spec.d, spec.base.f, good_primes(spec, prime_budget))
 
 
-# ---------------------------------------------------------------------------
-# Residue tables: a family's rows by u0 mod p
-# ---------------------------------------------------------------------------
-
-# how u0 = rho mod p reduces; 0 is not yet screened
+# how u0 = rho mod p reduces in a ResidueTable; 0 is not yet screened
 _GOOD, _ROOT, _BAD, _UNDECIDED = 1, 2, 3, 4
 
 
@@ -385,7 +381,7 @@ class ResidueTable:
 
     def __init__(self, fam: TwistFamily):
         self.fam = fam
-        self.table = _reductions(fam.base.f)
+        self.reductions = _reductions(fam.base.f)
         k = (fam.g.degree + 1) // 2
         self.g_den, g = fam.g._cleared()
         self.g = (g, 2 * k)
@@ -432,7 +428,7 @@ class ResidueTable:
 
     def _row(self, p: int, rho: int, order: int, ell: int) -> list[int]:
         if (p, rho, ell) not in self.rows:
-            e2, e1, _, _ = self.table[p]
+            e2, e1, _, _ = self.reductions[p]
             c = self._at(self.g, rho, p) * pow(self.g_den, -1, p)
             xy = [self._at(num, rho, p) * pow(self._at(den, rho, p), -1, p) % p for num, den, _ in self.coords]
             reduced = list(zip(xy[::2], xy[1::2]))
@@ -445,7 +441,7 @@ class ResidueTable:
         no prime is good."""
         good = 0
         zero = [0] * len(self.fam.points)
-        table, screens = self.table, self.screens
+        table, screens = self.reductions, self.screens
         for p in table.primes:
             if d % p == 0:
                 continue

@@ -258,19 +258,14 @@ def _sieve_row(fc, small, large, b: int, row: list[int], grid: int, square_free:
     return values
 
 
-def _constant_start(factors, primes) -> tuple[int, tuple]:
+def _constant_start(factors, bound: int) -> tuple[int, tuple]:
     """(s, the nonconstant factors), s the signed squarefree part of the
     constant factors, which starts every D, when its primes are sieve
-    primes; otherwise (1, factors)."""
+    primes, at most bound; otherwise (1, factors)."""
     c = math.prod(fc[0] for fc in factors if len(fc) == 1)
-    start, rest = (1 if c > 0 else -1), abs(c)
-    for p in primes:
-        while rest % p == 0:
-            rest //= p
-            start = start // p if start % p == 0 else start * p
-    if rest != 1:
+    if max(factorize(c), default=1) > bound:
         return 1, factors
-    return start, tuple(fc for fc in factors if len(fc) > 1)
+    return squarefree_part_int(c), tuple(fc for fc in factors if len(fc) > 1)
 
 
 def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
@@ -289,7 +284,7 @@ def sieved_values(form: HomogForm, grid: int, modulus: int = 1):
     bound = _sieve_bound(factors, grid)
     cube = bound ** 3
     primes = _sieve(bound)
-    start, factors = _constant_start(factors, primes)
+    start, factors = _constant_start(factors, bound)
     tables = []
     for fc in factors:
         table = _root_table(fc, primes)

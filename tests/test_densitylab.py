@@ -423,7 +423,7 @@ def test_residue_table_matches_the_exact_path():
             assert [p for p, _, _ in walk] == good, (fid, d)
             den = math.prod(pt.x.denominator * pt.y.denominator for pt in spec.points)
             for p, order, row in walk:
-                mc, exact_order = certify._reduce_at(p, d, den, table.table)
+                mc, exact_order = certify._reduce_at(p, d, den, table.reductions)
                 assert order == exact_order, (fid, d, p)
                 reduced = [(certify._mod_frac(pt.x, p), certify._mod_frac(pt.y, p)) for pt in spec.points]
                 for ell in certify.ELLS:
@@ -432,13 +432,36 @@ def test_residue_table_matches_the_exact_path():
                 rho = _rho(a, b, p)
                 classes["good at infinity"] += rho == p
                 classes["p | W"] += table.screens[p][rho] == certify._ROOT
-            for p in table.table.primes:
+            for p in table.reductions.primes:
                 if p > good[-1]:
                     break
                 if p not in good and d % p:
                     classes["bad at infinity" if b % p == 0 else "bad"] += 1
             assert table.verdict(d, a, b, budget) == certify.certify_specialization(spec, budget), (fid, d)
     assert all(classes[name] for name in ("good at infinity", "bad at infinity", "p | W", "bad", "undecided")), classes
+
+
+def test_residue_forms_are_the_coordinates_mod_p():
+    # a ResidueTable's forms of X = x(a/b) and Y = y(a/b)/b^k, taken at
+    # (rho, 1), or at (1, 0) when p | b, give the coordinates mod p up to
+    # the unit lambda^-k in Y, lambda = b or a; thm4_3 has an x that
+    # vanishes at infinity and cor3_2 an x with a pole there
+    for fid in FAMILY_IDS:
+        fam = build(FamilySpec.make(fid))
+        table = certify.ResidueTable(fam)
+        k = (fam.g.degree + 1) // 2
+        coords = [rf for pt in fam.points for rf in (pt.x, pt.y)]
+        for p in (11, 13):
+            assert table.undecided % p
+            for a, b in ((1, p), (3, 2 * p), (2, 5), (7, 3)):
+                rho, lam = _rho(a, b, p), (b if b % p else a)
+                for rf, (num, den, is_y) in zip(coords, table.coords):
+                    den_at = table._at(den, rho, p)
+                    if not den_at:
+                        continue
+                    value = rf.evaluate(Fraction(a, b)) / (b ** k if is_y else 1)
+                    got = table._at(num, rho, p) * pow(den_at, -1, p) * pow(lam, -k if is_y else 0, p) % p
+                    assert got == certify._mod_frac(value, p), (fid, p, a, b)
 
 
 def _census_jobs(fid, grid):
