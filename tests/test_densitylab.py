@@ -484,7 +484,8 @@ def test_the_census_reads_its_memoized_rows():
     assert dict(after)[d]["primes"] != rec["primes"]
 
 
-def test_an_undecided_prime_falls_back_to_the_exact_path(monkeypatch):
+def _record_specializations(monkeypatch):
+    """The u0 the census specializes, appended as it calls specialize."""
     specialized = []
     specialize = densitylab.specialize
 
@@ -493,6 +494,11 @@ def test_an_undecided_prime_falls_back_to_the_exact_path(monkeypatch):
         return specialize(fam, u0, d)
 
     monkeypatch.setattr(densitylab, "specialize", recording)
+    return specialized
+
+
+def test_an_undecided_prime_falls_back_to_the_exact_path(monkeypatch):
+    specialized = _record_specializations(monkeypatch)
     fam, jobs = _census_jobs("thm4_5", 12)
     table = certify.ResidueTable(fam)
     d, a, b = jobs[3]
@@ -512,19 +518,12 @@ def test_an_undecided_prime_falls_back_to_the_exact_path(monkeypatch):
     records = certified_density(scaled, report, prime_budget=20).certifications
     assert len(specialized) == len(records) > 10
     for d, (a, b) in report.witnesses.items():
-        exact = certify.certify_specialization(specialize(scaled, Fraction(a, b), d), 20)
+        exact = certify.certify_specialization(certify.specialize(scaled, Fraction(a, b), d), 20)
         assert records[d] == {"u0": str(Fraction(a, b)), "certified": exact.rank >= 3, **exact.to_json()}
 
 
 def test_the_grid_50_census_specializes_at_most_once(monkeypatch):
-    specialized = []
-    specialize = densitylab.specialize
-
-    def recording(fam, u0, d):
-        specialized.append(u0)
-        return specialize(fam, u0, d)
-
-    monkeypatch.setattr(densitylab, "specialize", recording)
+    specialized = _record_specializations(monkeypatch)
     fam, form = _form("thm4_5")
     report = certified_density(fam, enumerate_S(form, grid=50, x_max=None))
     assert len(report.certifications) == 774
