@@ -5,8 +5,9 @@ k = floor((deg g + 1)/2) is evaluated over a coprime integer grid; the set S
 collects the squarefree parts D = F(a,b)/v^2, and |S(x)| = #{D in S : |D| < x}
 is fitted against x^(1/k) on a log-log grid.  The D come from a line sieve
 over the factor forms of F (`sieved_values`).  Optionally every counted D is
-certified by specializing the family at u0 = a/b and proving its points
-independent by the mod-ell reduction certificate of `certify`.
+certified at u0 = a/b by the mod-ell reduction certificate of `certify`,
+read from the family's residue table, or from the specialization at u0 where
+the table cannot decide.
 """
 
 from __future__ import annotations
