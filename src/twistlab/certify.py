@@ -383,32 +383,31 @@ class ResidueTable:
         self.fam = fam
         self.reductions = _reductions(fam.base.f)
         k = (fam.g.degree + 1) // 2
+        # a form of degree n is its n + 1 coefficients, lowest power of a first
         self.g_den, g = fam.g._cleared()
-        self.g = (g, 2 * k)
+        self.g = g + (0,) * (2 * k - fam.g.degree)
         self.undecided = self.g_den
-        self.coords = []  # (numerator form, denominator form, is a Y), a form as (coefficients, degree)
+        self.coords = []  # (numerator form, denominator form, is a Y)
         for pt in fam.points:
             for rf, shift in ((pt.x, 0), (pt.y, k)):
                 (ln, num), (ld, den) = rf.num._cleared(), rf.den._cleared()
                 self.undecided *= ln * ld
                 s = rf.den.degree - rf.num.degree - shift  # the coordinate is num * b^s / den
-                num_form = (tuple(c * ld for c in num), rf.num.degree + max(s, 0))
-                self.coords.append((num_form, (tuple(c * ln for c in den), rf.den.degree + max(-s, 0)), shift > 0))
+                num_form = tuple(c * ld for c in num) + (0,) * max(s, 0)
+                self.coords.append((num_form, tuple(c * ln for c in den) + (0,) * max(-s, 0), shift > 0))
         # each denominator divides a power of rad, so rad(rho) != 0 mod p clears them all
         dens = math.prod((rf.den for pt in fam.points for rf in (pt.x, pt.y)), start=ONE)
-        rad = (dens / dens.gcd(dens.derivative()))._cleared()[1]
-        self.rad = (rad, len(rad) - 1)
+        self.rad = (dens / dens.gcd(dens.derivative()))._cleared()[1]
         self.screens: dict[int, bytearray] = {}
         self.rows: dict = {}  # (p, rho, ell) -> F_ell row
 
     @staticmethod
     def _at(form, rho: int, p: int) -> int:
         """The form at (rho, 1) mod p, or at (1, 0) for rho = p."""
-        coeffs, degree = form
         if rho == p:
-            return coeffs[degree] % p if len(coeffs) == degree + 1 else 0
+            return form[-1] % p
         v = 0
-        for c in reversed(coeffs):
+        for c in reversed(form):
             v = v * rho + c
         return v % p
 

@@ -442,10 +442,11 @@ def test_residue_table_matches_the_exact_path():
 
 
 def test_residue_forms_are_the_coordinates_mod_p():
-    # a ResidueTable's forms of X = x(a/b) and Y = y(a/b)/b^k, taken at
-    # (rho, 1), or at (1, 0) when p | b, give the coordinates mod p up to
-    # the unit lambda^-k in Y, lambda = b or a; thm4_3 has an x that
-    # vanishes at infinity and cor3_2 an x with a pole there
+    # a ResidueTable's forms of G(a, b), X = x(a/b) and Y = y(a/b)/b^k,
+    # taken at (rho, 1), or at (1, 0) when p | b, give their values mod p up
+    # to a unit power of lambda = b or a; thm4_3 has an x that vanishes at
+    # infinity, cor3_2 an x with a pole there, and thm4_3 and rem4_6 a g of
+    # odd degree
     for fid in FAMILY_IDS:
         fam = build(FamilySpec.make(fid))
         table = certify.ResidueTable(fam)
@@ -455,6 +456,9 @@ def test_residue_forms_are_the_coordinates_mod_p():
             assert table.undecided % p
             for a, b in ((1, p), (3, 2 * p), (2, 5), (7, 3)):
                 rho, lam = _rho(a, b, p), (b if b % p else a)
+                # G(a, b) = b^(2k) g(a/b), so p | G at infinity when deg g is odd
+                g_at = eval_form(fam.g._cleared()[1], a, b, 2 * k)
+                assert table._at(table.g, rho, p) * pow(lam, 2 * k, p) % p == g_at % p, (fid, p, a, b)
                 for rf, (num, den, is_y) in zip(coords, table.coords):
                     den_at = table._at(den, rho, p)
                     if not den_at:
