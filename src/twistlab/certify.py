@@ -28,6 +28,7 @@ from .exactmath import (
     T,
     UniPoly,
     discriminant_cubic,
+    eval_form,
     rat_to_str,
     rational_sqrt,
     squarefree_part_int,
@@ -404,12 +405,8 @@ class ResidueTable:
     @staticmethod
     def _at(form, rho: int, p: int) -> int:
         """The form at (rho, 1) mod p, or at (1, 0) for rho = p."""
-        if rho == p:
-            return form[-1] % p
-        v = 0
-        for c in reversed(form):
-            v = v * rho + c
-        return v % p
+        a, b = (1, 0) if rho == p else (rho, 1)
+        return eval_form(form, a, b, len(form) - 1) % p
 
     def _screen(self, p: int, rho: int) -> int:
         if self.undecided % p == 0:

@@ -156,7 +156,7 @@ def _cmd_density(args) -> int:
     except densitylab.DensityError as exc:
         print(f"fit skipped: {exc}", file=sys.stderr)
     if args.certify:
-        report = densitylab.certified_density(fam, report, prime_budget=args.primes, threads=args.threads)
+        report = densitylab.certified_density(fam, report, prime_budget=args.primes)
     payload = report.to_json(include_witnesses=not args.no_witnesses)
     lines = [f"family {report.family}: grid {report.grid}, {len(report.witnesses)} distinct squarefree twists"]
     for x, c in zip(report.x_grid, report.counts):
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=_positive_int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for certification")
+    p.add_argument("--threads", type=_positive_int, default=1, help="no effect: certification runs in one process")
     p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")
     add_common(p)
     p.set_defaults(func=_cmd_density)

@@ -16,8 +16,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from itertools import starmap
 from math import gcd, isqrt
 
 from .certify import (
@@ -370,22 +368,6 @@ def with_fit(report: DensityReport) -> DensityReport:
     return replace(report, fit=fit_exponent(report))
 
 
-# jobs per task sent to a certification worker
-_CHUNK = 16
-
-# (residue table, prime budget) of a pool worker, set once by its initializer
-_worker_family = None
-
-
-def _init_worker(fam: TwistFamily, prime_budget: int):
-    global _worker_family
-    _worker_family = ResidueTable(fam), prime_budget
-
-
-def _certify_in_worker(job):
-    return _certify_one(*_worker_family, *job)
-
-
 def _certify_one(table: ResidueTable, prime_budget: int, d: int, a: int, b: int):
     u0 = Fraction(a, b)
     verdict = table.verdict(d, a, b, prime_budget)
@@ -403,30 +385,20 @@ def certified_density(
     fam: TwistFamily,
     report: DensityReport,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    threads: int = 1,
 ) -> DensityReport:
     """Attach an independence verdict to every counted D, certified when
-    the proved rank reaches the family's claimed rank.  The family's
-    structural checks run first, once, and prove every specialized point
-    on its curve.  A D whose u0 hits a root of g or a pole of a point, or
-    whose g(u0)/D is not a square, is recorded as not certified; a
-    CertifyError of the sieve, such as a wrong point count, aborts."""
+    the proved rank reaches the family's claimed rank.  Every D is
+    certified in the calling process from one residue table of the family.
+    The family's structural checks run first, once, and prove every
+    specialized point on its curve.  A D whose u0 hits a root of g or a
+    pole of a point, or whose g(u0)/D is not a square, is recorded as not
+    certified; a CertifyError of the sieve, such as a wrong point count,
+    aborts."""
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     structural_checks(fam)
-    jobs = [(d, a, b) for d, (a, b) in sorted(report.witnesses.items())]
-    # at most one worker per chunk: fork starts every worker at the first submit
-    workers = min(threads, -(-len(jobs) // _CHUNK))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the family goes to each worker once, not with every job
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(fam, prime_budget)
-        ) as pool:
-            records = dict(pool.map(_certify_in_worker, jobs, chunksize=_CHUNK))
-    else:
-        records = dict(starmap(partial(_certify_one, ResidueTable(fam), prime_budget), jobs))
+    table = ResidueTable(fam)
+    records = dict(_certify_one(table, prime_budget, d, a, b) for d, (a, b) in sorted(report.witnesses.items()))
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)
     return replace(report, certified_counts=certified_counts, certifications=records)

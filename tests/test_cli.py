@@ -188,6 +188,28 @@ def test_density_no_witnesses_drops_only_the_witnesses(capsys, tmp_path):
     assert lean == {k: v for k, v in full.items() if k not in ("witnesses", "certifications")}
 
 
+def test_density_threads_change_nothing_and_start_no_process(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+    import os
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("the census started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    path = tmp_path / "fam.json"
+    run(["catalog-build", "--id", "thm4_5", "--out", str(path), "--json"])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"census{threads}.json"
+        argv = ["density", "--family", str(path), "--grid", "8", "--certify", "--threads", threads, "--out", str(out)]
+        assert run(argv) == 0
+        outputs.append(out.read_bytes())
+    _capture(capsys)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["certifications"]) == 22
+
+
 def test_forge_commands(capsys, tmp_path):
     assert run(["forge-rank3", "--id", "thm4_5", "--json"]) == 0
     _capture(capsys)

@@ -306,46 +306,6 @@ def test_certified_density_subset_and_witnesses():
     assert out.witnesses[certified[0]][1] >= 1
 
 
-def test_certified_density_threads_match_sequential():
-    fam, form = _form("thm4_5")
-    # 22 D make two chunks, so two workers run
-    rep = enumerate_S(form, grid=8, modulus=1, x_max=None, family="thm4_5")
-    seq = certified_density(fam, rep, prime_budget=10, threads=1)
-    par = certified_density(fam, rep, prime_budget=10, threads=2)
-    assert seq.certified_counts == par.certified_counts
-    assert seq.certifications == par.certifications
-
-
-def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(densitylab, "_worker_family", None)
-    fam, form = _form("thm4_5")
-    for grid, threads, workers in ((4, 64, []), (12, 64, [3]), (12, 2, [2])):
-        rep = enumerate_S(form, grid=grid, x_max=None)
-        out = certified_density(fam, rep, prime_budget=10, threads=threads)
-        assert sizes == workers, (grid, threads, len(rep.witnesses))
-        assert out.certifications == certified_density(fam, rep, prime_budget=10).certifications
-        sizes.clear()
-
-
 def test_each_polynomial_is_cleared_once(monkeypatch):
     # the census evaluates g and the point coordinates at every D; each
     # polynomial clears its coefficients to integers once, not once per D
@@ -551,12 +511,10 @@ def test_internal_certify_errors_abort_the_census(monkeypatch):
     monkeypatch.setattr(certify, "_ell_row", wrong_count)
     fam, form = _form("thm4_5")
     rep = enumerate_S(form, grid=8, x_max=None)
-    assert len(rep.witnesses) > densitylab._CHUNK  # so two threads start two workers
-    for threads in (1, 2):
-        with pytest.raises(CertifyError) as err:
-            certified_density(fam, rep, threads=threads)
-        assert err.value.check_name == "point-count"
-        assert "is wrong (internal error)" in str(err.value)
+    with pytest.raises(CertifyError) as err:
+        certified_density(fam, rep)
+    assert err.value.check_name == "point-count"
+    assert "is wrong (internal error)" in str(err.value)
 
 
 def test_on_curve_is_checked_only_by_the_family_checks(monkeypatch):
