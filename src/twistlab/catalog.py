@@ -535,7 +535,18 @@ EXPECTED_DEGREE = {fid: recipe.degree for fid, recipe in RECIPES.items()}
 CLAIMED_RANK = {fid: recipe.rank for fid, recipe in RECIPES.items()}
 
 
-def _pipeline(spec: FamilySpec) -> TwistFamily:
+def build(spec: FamilySpec, pipe: TwistFamily | None = None) -> TwistFamily:
+    """The catalog family: displayed g and points where available, reusing
+    the pipeline family `pipe` if given."""
+    recipe = RECIPES[spec.id]
+    if recipe.display:
+        return recipe.display(spec)
+    pipe = pipe or build_pipeline(spec)
+    return recipe.display_g(spec, pipe) if recipe.display_g else pipe
+
+
+def build_pipeline(spec: FamilySpec) -> TwistFamily:
+    """The same family re-derived through the construction pipeline."""
     recipe = RECIPES[spec.id]
     if recipe.pipeline is not None:
         return recipe.pipeline(spec)
@@ -546,20 +557,6 @@ def _pipeline(spec: FamilySpec) -> TwistFamily:
     return _attach_quartic_factors(fam, t_of_u) if recipe.quartic_split else fam
 
 
-def _build(spec: FamilySpec, pipe: TwistFamily | None = None) -> TwistFamily:
-    """The catalog family, reusing the pipeline family `pipe` if given."""
-    recipe = RECIPES[spec.id]
-    if recipe.display:
-        return recipe.display(spec)
-    pipe = pipe or _pipeline(spec)
-    return recipe.display_g(spec, pipe) if recipe.display_g else pipe
-
-
-def build(spec: FamilySpec) -> TwistFamily:
-    """The catalog family: displayed g and points where available."""
-    return _build(spec)
-
-
 def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
     """The certified f(h) = k*f*j^2 identities underlying a family's construction.
 
@@ -568,11 +565,6 @@ def twist_identities(spec: FamilySpec) -> list[TwistIdentity]:
     """
     identities = RECIPES[spec.id].identities
     return identities(spec.params)[1] if identities else []
-
-
-def build_pipeline(spec: FamilySpec) -> TwistFamily:
-    """The same family re-derived through the construction pipeline."""
-    return _pipeline(spec)
 
 
 def rem4_6_tower() -> tuple[TwistFamily, TwistFamily, TwistFamily]:
@@ -618,17 +610,16 @@ def crosscheck(spec: FamilySpec) -> dict:
     share its x with a pipeline point rescaled onto the catalog twist.
     Discrepancies are itemized in the report, never silently passed.
     """
-    pipe = _pipeline(spec)
-    cat = _build(spec, pipe)
+    pipe = build_pipeline(spec)
+    cat = build(spec, pipe)
     messages: list[str] = []
     quotient = RatFunc(pipe.g) / RatFunc(cat.g)
     k, rho = square_class(quotient)
     g_ok = k == ONE
+    point_matches = []
     if not g_ok:
         messages.append(f"g square-class quotient is {k.to_str('u')}, not 1")
-        rho = None
-    point_matches = []
-    if rho is not None:
+    else:
         rescaled = [CurvePoint(p.x, p.y * rho) for p in pipe.points]
         for i, cp in enumerate(cat.points, start=1):
             found = None

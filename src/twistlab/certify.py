@@ -126,9 +126,6 @@ class _ModCurve:
         self.e2 = e2
         self.e1 = e1
 
-    def fprime_at(self, x: int) -> int:
-        return (3 * x * x + 2 * self.e2 * x + self.e1) % self.p
-
     def add(self, pt1, pt2):
         p = self.p
         if pt1 is None:
@@ -140,7 +137,7 @@ class _ModCurve:
         if x1 == x2:
             if (y1 + y2) % p == 0:
                 return None
-            slope = self.fprime_at(x1) * pow(2 * self.d * y1 % p, -1, p) % p
+            slope = (3 * x1 * x1 + 2 * self.e2 * x1 + self.e1) * pow(2 * self.d * y1 % p, -1, p) % p
         else:
             slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (self.d * slope * slope - self.e2 - x1 - x2) % p
@@ -355,7 +352,7 @@ def certify_specialization(spec: SpecializedTwist, prime_budget: int) -> SieveVe
 
 
 # how u0 = rho mod p reduces in a ResidueTable; 0 is not yet screened
-_GOOD, _ROOT, _BAD, _UNDECIDED = 1, 2, 3, 4
+_GOOD, _BAD, _UNDECIDED = 1, 2, 3
 
 
 class _Undecided(Exception):
@@ -372,12 +369,12 @@ class ResidueTable:
     D*G(rho), (X, Y) -> (X, b^k*w*Y) maps c*Y^2 = f(X), c = G(rho), onto
     D*y^2 = f(x) over F_p and the family's points at rho onto the
     specialized points, so #E(F_p) and every row of _ell_row depend on
-    (p, rho, ell) alone.  screens[p], a bytearray(p + 1), classes rho as
-    good (no coordinate denominator vanishes, G(rho) != 0), root (none
-    vanishes, G(rho) = 0: prime to D, the points reduce to (x, 0), whose
-    row is zero at odd ell), bad (one vanishes but not its numerator, so
-    good_primes skips p) or undecided (a 0/0, a pole of Y at a root, or p
-    in a cleared denominator).
+    (p, rho, ell) alone; where G(rho) = 0, p is prime to D, so p | w and
+    the points reduce to (x, 0), whose row is zero at odd ell.
+    screens[p], a bytearray(p + 1), classes rho as good (no coordinate
+    denominator vanishes), bad (one vanishes but not its numerator, so
+    good_primes skips p) or undecided (a 0/0, a pole of Y at a root of G,
+    or p in a cleared denominator).
     """
 
     def __init__(self, fam: TwistFamily):
@@ -411,24 +408,27 @@ class ResidueTable:
     def _screen(self, p: int, rho: int) -> int:
         if self.undecided % p == 0:
             return _UNDECIDED
-        root = not self._at(self.g, rho, p)
-        code = _ROOT if root else _GOOD
         if rho < p and self._at(self.rad, rho, p):
-            return code
+            return _GOOD
+        code = _GOOD
         for num, den, is_y in self.coords:
             if not self._at(den, rho, p):
-                if self._at(num, rho, p) and not (is_y and root):
+                if self._at(num, rho, p) and (not is_y or self._at(self.g, rho, p)):
                     return _BAD
                 code = _UNDECIDED
         return code
 
     def _row(self, p: int, rho: int, order: int, ell: int) -> list[int]:
         if (p, rho, ell) not in self.rows:
-            e2, e1, _, _ = self.reductions[p]
             c = self._at(self.g, rho, p) * pow(self.g_den, -1, p)
-            xy = [self._at(num, rho, p) * pow(self._at(den, rho, p), -1, p) % p for num, den, _ in self.coords]
-            reduced = list(zip(xy[::2], xy[1::2]))
-            self.rows[p, rho, ell] = _ell_row(_ModCurve(p, c, e2, e1), order, ell, reduced)
+            if c:
+                e2, e1, _, _ = self.reductions[p]
+                xy = [self._at(num, rho, p) * pow(self._at(den, rho, p), -1, p) % p for num, den, _ in self.coords]
+                reduced = list(zip(xy[::2], xy[1::2]))
+                row = _ell_row(_ModCurve(p, c, e2, e1), order, ell, reduced)
+            else:
+                row = [0] * len(self.fam.points)
+            self.rows[p, rho, ell] = row
         return self.rows[p, rho, ell]
 
     def _reductions_at(self, d: int, a: int, b: int, how_many: int):
@@ -436,7 +436,6 @@ class ResidueTable:
         would take for u0 = a/b; _Undecided at an undecided prime, or when
         no prime is good."""
         good = 0
-        zero = [0] * len(self.fam.points)
         table, screens = self.reductions, self.screens
         for p in table.primes:
             if d % p == 0:
@@ -449,7 +448,7 @@ class ResidueTable:
             if code == _UNDECIDED:
                 raise _Undecided
             order = _count_points(p, d, table[p][3])
-            yield p, order, (lambda ell: zero) if code == _ROOT else functools.partial(self._row, p, rho, order)
+            yield p, order, functools.partial(self._row, p, rho, order)
             good += 1
             if good == how_many:
                 return
@@ -460,8 +459,8 @@ class ResidueTable:
         """certify_specialization(specialize(fam, a/b, d), prime_budget) for
         coprime a and b > 0, or None where the table cannot decide it.  An
         exact check that g(a/b)/D is a nonzero rational square proves
-        g(u0) != 0; a good or root prime proves that u0 is not a pole, as a
-        form that is nonzero mod p is nonzero."""
+        g(u0) != 0; a good prime proves that u0 is not a pole, as a form
+        that is nonzero mod p is nonzero."""
         num, den = self.fam.g._at(a, b)
         square = num * den * d  # g(a/b)/D = num/(den*D)
         if square <= 0 or math.isqrt(square) ** 2 != square:
@@ -543,14 +542,14 @@ def certify_family(
     checks = structural_checks(fam)
     genus = genus_upper_bound(fam.g)
     certified = 1 if r >= 1 else 0
-    independence_witness: dict = {"strategy": "single nonconstant point"} if r else {}
 
+    if r == 1:
+        checks.append(_check("independence", {"strategy": "single nonconstant point"}))
     if r == 2:
         classes = automorphism_classification(fam)
         if classes is not None and sorted(classes) == ["fixed", "negated"]:
             certified = 2
-            independence_witness = {"strategy": "u->-u eigensplit", "classes": classes}
-            checks.append(_check("independence", independence_witness))
+            checks.append(_check("independence", {"strategy": "u->-u eigensplit", "classes": classes}))
     if r >= 2 and certified < r:
         witnesses = []
         # u0 = 2, 3, ...; skip roots of g, poles, and points with y = 0 (2-torsion)
@@ -566,10 +565,8 @@ def certify_family(
             certified = max(certified, verdict.rank)
             if verdict.independent or len(witnesses) == samples:
                 break
-        independence_witness = {"strategy": "specialization + mod-ell reduction", "specializations": witnesses}
-        checks.append(_check("independence", independence_witness, "pass" if certified == r else "inconclusive"))
-    elif r == 1:
-        checks.append(_check("independence", independence_witness))
+        witness = {"strategy": "specialization + mod-ell reduction", "specializations": witnesses}
+        checks.append(_check("independence", witness, "pass" if certified == r else "inconclusive"))
 
     if certified > genus:
         raise CertifyError("genus-bound", "certified rank exceeded the genus bound (internal error)")

@@ -75,31 +75,24 @@ def _cmd_catalog_list(args) -> int:
     return 0
 
 
-def _cmd_catalog_build(args) -> int:
-    spec = FamilySpec.make(args.id, _parse_params(args.params))
-    fam = catalog.build(spec)
-    payload = jsonio.family_to_json(fam)
-    lines = [
-        f"family {spec.id} (rank >= {fam.claimed_rank}), deg g = {fam.g.degree}",
-        f"g(u) = {fam.g.to_str('u')}",
-    ] + [f"P{i} = ({p.x.to_str('u')}, {p.y.to_str('u')})" for i, p in enumerate(fam.points, 1)]
-    _emit(args, payload, lines)
+def _emit_family(args, fam, headline: str) -> int:
+    lines = [headline, f"g(u) = {fam.g.to_str('u')}"]
+    lines += [f"P{i} = ({p.x.to_str('u')}, {p.y.to_str('u')})" for i, p in enumerate(fam.points, 1)]
+    _emit(args, jsonio.family_to_json(fam), lines)
     return 0
+
+
+def _cmd_catalog_build(args) -> int:
+    fam = catalog.build(FamilySpec.make(args.id, _parse_params(args.params)))
+    return _emit_family(args, fam, f"family {args.id} (rank >= {fam.claimed_rank}), deg g = {fam.g.degree}")
 
 
 def _forge(args, want_rank: int) -> int:
-    spec = FamilySpec.make(args.id, _parse_params(args.params))
-    fam = catalog.build_pipeline(spec)
+    fam = catalog.build_pipeline(FamilySpec.make(args.id, _parse_params(args.params)))
     if fam.claimed_rank != want_rank:
         print(f"family {args.id} carries rank {fam.claimed_rank}, not {want_rank}", file=sys.stderr)
         return 2
-    payload = jsonio.family_to_json(fam)
-    lines = [
-        f"forged {spec.id} via {fam.provenance.get('method')}",
-        f"g(u) = {fam.g.to_str('u')}",
-    ] + [f"P{i} = ({p.x.to_str('u')}, {p.y.to_str('u')})" for i, p in enumerate(fam.points, 1)]
-    _emit(args, payload, lines)
-    return 0
+    return _emit_family(args, fam, f"forged {args.id} via {fam.provenance.get('method')}")
 
 
 def _cmd_crosscheck(args) -> int:
@@ -185,24 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, out=False)
     p.set_defaults(func=_cmd_catalog_list)
 
-    p = sub.add_parser("catalog-build", help="build a family from its displayed data")
-    p.add_argument("--id", required=True, choices=catalog.FAMILY_IDS)
-    p.add_argument("--params", help="comma-separated name=value parameter overrides")
-    add_common(p)
-    p.set_defaults(func=_cmd_catalog_build)
-
-    for rank in (2, 3):
-        p = sub.add_parser(f"forge-rank{rank}", help=f"derive a rank-{rank} family through the pipeline")
+    by_id = [
+        ("catalog-build", "build a family from its displayed data", _cmd_catalog_build),
+        ("forge-rank2", "derive a rank-2 family through the pipeline", lambda a: _forge(a, 2)),
+        ("forge-rank3", "derive a rank-3 family through the pipeline", lambda a: _forge(a, 3)),
+        ("crosscheck", "compare displayed data against the pipeline derivation", _cmd_crosscheck),
+    ]
+    for name, help_text, func in by_id:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--id", required=True, choices=catalog.FAMILY_IDS)
-        p.add_argument("--params")
+        p.add_argument("--params", help="comma-separated name=value parameter overrides")
         add_common(p)
-        p.set_defaults(func=lambda a, r=rank: _forge(a, r))
-
-    p = sub.add_parser("crosscheck", help="compare displayed data against the pipeline derivation")
-    p.add_argument("--id", required=True, choices=catalog.FAMILY_IDS)
-    p.add_argument("--params")
-    add_common(p)
-    p.set_defaults(func=_cmd_crosscheck)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("certify", help="produce a rank certificate for a family JSON file")
     p.add_argument("--family", required=True, metavar="FILE")

@@ -22,10 +22,6 @@ class CurveError(CheckError, ValueError):
     """A curve, point, or isogeny violated one of its construction hypotheses."""
 
 
-def _is_constant_elem(x: FieldElem) -> bool:
-    return not isinstance(x, RatFunc) or x.is_constant()
-
-
 @dataclass(frozen=True)
 class CubicCurve:
     """y^2 = f(x) with f a monic nonsingular cubic over Q."""
@@ -51,7 +47,7 @@ class CurvePoint:
         return self.x is None
 
     def has_nonconstant_x(self) -> bool:
-        return not self.is_infinity and not _is_constant_elem(self.x)
+        return isinstance(self.x, RatFunc) and not self.x.is_constant()
 
 
 INFINITY = CurvePoint(None, None)

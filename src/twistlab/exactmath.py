@@ -195,31 +195,21 @@ class UniPoly:
             return NotImplemented
         if other.is_zero():
             raise ExactMathError("polynomial division by zero")
-        q: list[Fraction] = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         rem = list(self.coeffs)
-        d, lc = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
+        d, lc, oc = other.degree, other.leading(), other.coeffs
+        q = [Fraction(0)] * max(0, len(rem) - d)
+        for shift in range(len(rem) - 1 - d, -1, -1):
+            q[shift] = factor = rem[shift + d] / lc
+            if factor:
+                for i in range(d):
+                    rem[shift + i] -= factor * oc[i]
+        return UniPoly(q), UniPoly(rem[:d])
 
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]
 
     def __truediv__(self, other) -> "UniPoly":
-        """Exact division; raises if the remainder is nonzero or scalar is zero."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ExactMathError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+        """Exact division; raises if the remainder is nonzero or other is zero."""
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ExactMathError("inexact polynomial division")
@@ -434,8 +424,6 @@ class RatFunc:
     def __init__(self, num, den=ONE):
         if isinstance(num, (int, Fraction)):
             num = UniPoly([num])
-        if isinstance(den, (int, Fraction)):
-            den = UniPoly([den])
         if den.is_zero():
             raise ExactMathError("rational function with zero denominator")
         g = num.gcd(den)
@@ -586,15 +574,13 @@ def squarefree_decompose(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]
     return content, factors
 
 
-def square_class(r) -> tuple[UniPoly, RatFunc]:
+def square_class(r: RatFunc) -> tuple[UniPoly, RatFunc]:
     """Split r = k * j^2 with k a canonical squarefree polynomial representative.
 
     k has integer coefficients, squarefree integer content, and carries the
     sign of the square class; j is sign-normalized with positive leading
     numerator coefficient.  The identity k * j^2 == r is checked exactly.
     """
-    if isinstance(r, UniPoly):
-        r = RatFunc(r)
     if r.is_zero():
         raise ExactMathError("square class of zero is undefined")
     p = r.num * r.den
@@ -800,7 +786,4 @@ def squarefree_part_int(n: int) -> int:
 
 
 def is_squarefree_int(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
-    return all(e == 1 for e in factorize(n).values())
+    return n != 0 and squarefree_part_int(n) == n

@@ -35,9 +35,7 @@ def ratfunc_from_json(d) -> RatFunc:
 def point_to_json(p: CurvePoint) -> dict:
     if p.is_infinity:
         return {"infinity": True}
-    x = p.x if isinstance(p.x, RatFunc) else RatFunc(UniPoly([p.x]))
-    y = p.y if isinstance(p.y, RatFunc) else RatFunc(UniPoly([p.y]))
-    return {"x": ratfunc_to_json(x), "y": ratfunc_to_json(y)}
+    return {"x": ratfunc_to_json(p.x), "y": ratfunc_to_json(p.y)}
 
 
 def point_from_json(d) -> CurvePoint:

@@ -245,11 +245,6 @@ def checked_family(fam: TwistFamily) -> TwistFamily:
     return fam
 
 
-def _normalized_point(x: RatFunc, y: RatFunc) -> CurvePoint:
-    # deterministic sign: positive leading numerator coefficient on y
-    return CurvePoint(x, y.sign_normalized())
-
-
 def _family_from_identities(
     f: UniPoly,
     tids: Sequence[TwistIdentity],
@@ -263,14 +258,15 @@ def _family_from_identities(
     g, jg = square_class(big_f)
     if g.is_constant():
         raise ForgeError("degenerate family: f(t(u)) is a square times a constant")
-    points = [_normalized_point(t_of_u, jg)]
+    # deterministic sign: positive leading numerator coefficient on y
+    points = [CurvePoint(t_of_u, jg.sign_normalized())]
     for tid in tids:
         if tid.f != f:
             raise ForgeError("twist identity belongs to a different cubic")
         x = tid.h.compose(t_of_u)
         s_k = ratfunc_sqrt(compose(tid.k, t_of_u))
         y = s_k * jg * tid.j.compose(t_of_u)
-        points.append(_normalized_point(x, y))
+        points.append(CurvePoint(x, y.sign_normalized()))
     fam = TwistFamily(
         base=CubicCurve(f),
         g=g,

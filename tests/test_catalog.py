@@ -265,7 +265,7 @@ def test_crosscheck_reports_unmatched_point(monkeypatch, capsys):
     shifted = curve.add(fam.points[0], CurvePoint(RatFunc(0), RatFunc(0)))
     assert curve.contains(shifted) and shifted.x != fam.points[0].x
     tampered = TwistFamily(fam.base, fam.g, (shifted,) + fam.points[1:], fam.claimed_rank, fam.provenance)
-    monkeypatch.setattr(catalog, "_build", lambda spec, pipe=None: tampered)
+    monkeypatch.setattr(catalog, "build", lambda spec, pipe=None: tampered)
     report = crosscheck(FamilySpec.make("thm4_5"))
     assert not report["ok"]
     assert report["point_matches"][0] == {"point": 1, "matched": False, "via": "none"}
@@ -274,6 +274,18 @@ def test_crosscheck_reports_unmatched_point(monkeypatch, capsys):
     assert report == json.loads(dump_json(report))
     assert run(["crosscheck", "--id", "thm4_5"]) == 1
     capsys.readouterr()
+
+
+def test_crosscheck_reports_a_g_off_the_square_class(monkeypatch, capsys):
+    fam = build(FamilySpec.make("thm4_5"))
+    tampered = TwistFamily(fam.base, fam.g * 2, fam.points, fam.claimed_rank, fam.provenance)
+    monkeypatch.setattr(catalog, "build", lambda spec, pipe=None: tampered)
+    report = crosscheck(FamilySpec.make("thm4_5"))
+    assert not report["ok"] and not report["g_square_class_matches"]
+    assert report["point_matches"] == []
+    assert report["messages"] == ["g square-class quotient is 2, not 1"]
+    assert run(["crosscheck", "--id", "thm4_5"]) == 1
+    assert capsys.readouterr().out.startswith("crosscheck thm4_5: MISMATCH\ng square-class quotient is 2, not 1\n")
 
 
 def test_catalog_output_digests():

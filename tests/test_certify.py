@@ -451,6 +451,22 @@ def test_u0_walk_skips_poles():
     assert _u0s(certify_family(shifted, samples=3, prime_budget=3)) == ["4", "5", "6"]
 
 
+def test_u0_walk_skips_a_point_with_y_zero(monkeypatch):
+    # a specialization with a point of order 2 proves nothing about the rank
+    real = certify.specialize
+
+    def two_torsion_at_2(fam, u0, d=None):
+        spec = real(fam, u0, d)
+        if u0 == 2:
+            points = (CurvePoint(spec.points[0].x, Fraction(0)),) + spec.points[1:]
+            spec = SpecializedTwist(spec.u0, spec.d, spec.base, points)
+        return spec
+
+    monkeypatch.setattr(certify, "specialize", two_torsion_at_2)
+    cert = certify_family(build(FamilySpec.make("thm4_5")))
+    assert _u0s(cert) == ["3"] and cert["certified_lower"] == 3
+
+
 def test_u0_walk_raises_internal_errors(monkeypatch):
     calls = []
 
@@ -477,7 +493,7 @@ def test_certify_error_survives_pickling():
 
 def test_each_family_is_checked_once(monkeypatch):
     calls = {"contains": 0, "pipeline": 0}
-    contains, pipeline = TwistedCurve.contains, catalog._pipeline
+    contains, pipeline = TwistedCurve.contains, catalog.build_pipeline
 
     def counting_contains(self, pt):
         calls["contains"] += 1
@@ -488,7 +504,7 @@ def test_each_family_is_checked_once(monkeypatch):
         return pipeline(spec)
 
     monkeypatch.setattr(TwistedCurve, "contains", counting_contains)
-    monkeypatch.setattr(catalog, "_pipeline", counting_pipeline)
+    monkeypatch.setattr(catalog, "build_pipeline", counting_pipeline)
     for fid in ("cor3_2", "thm4_5", "rem4_6"):
         fam = build(FamilySpec.make(fid))
         calls["contains"] = 0

@@ -11,7 +11,7 @@ from twistlab.certify import BadPrimeError, CertifyError, certify_family
 from twistlab.cli import run
 from twistlab.curves import INFINITY, CurveError, CurvePoint
 from twistlab.densitylab import DensityError
-from twistlab.exactmath import CheckError, ExactMathError
+from twistlab.exactmath import CheckError, ExactMathError, RatFunc, UniPoly
 from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
 from twistlab.twistforge import ForgeError
 
@@ -146,6 +146,19 @@ def test_certify_rejects_wrong_provenance_degree(capsys, tmp_path):
         assert json.loads(out)["failed_check"] == "g-degree", degree
 
 
+def test_certify_rejects_a_g_with_a_square_factor(capsys, tmp_path):
+    # cor3_2 on g*(u + 1)^2, each y divided by u + 1: every point stays on its twist
+    fam = build(FamilySpec.make("cor3_2"))
+    s = RatFunc(UniPoly([1, 1]))
+    pts = tuple(CurvePoint(p.x, p.y / s) for p in fam.points)
+    path = tmp_path / "square.json"
+    dump_json(family_to_json(replace(fam, g=fam.g * s.num ** 2, points=pts)), path=path)
+    assert run(["certify", "--family", str(path), "--json"]) == 1
+    out, err = _capture(capsys)
+    assert json.loads(out)["failed_check"] == "g-squarefree"
+    assert err == "certification failed at check: g-squarefree\n"
+
+
 def test_specialize_cli(capsys, tmp_path):
     path = tmp_path / "fam.json"
     run(["catalog-build", "--id", "thm4_5", "--out", str(path), "--json"])
@@ -264,6 +277,7 @@ def test_usage_errors(capsys, tmp_path):
     good = load_json(path)
     for bad, field in (
         (payload, "'curve'"),
+        ({k: v for k, v in good.items() if k != "g"}, "lacks field 'g'"),
         ([payload], "object"),
         ({**good, "claimed_rank": 2.9}, "'claimed_rank'"),
         ({**good, "claimed_rank": "2"}, "'claimed_rank'"),

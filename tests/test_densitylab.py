@@ -225,6 +225,17 @@ def test_sieve_factors_cofactors_that_share_a_prime(monkeypatch):
     assert factored and all(values[0] % 101 == 0 for values in factored)
 
 
+def test_constant_factor_with_primes_above_the_bound_is_sieved_as_a_factor():
+    # B = 22 at grid 5 for 10007(u^2 + 1), and B = 4 for 29(u^2 + 1), where
+    # 29 = 2^2 + 5^2 also divides the value at (2, 5)
+    for c, bound in ((10007, 22), (29, 4)):
+        form = homog_form(UniPoly([c, 0, c]), [[str(c)], ["1", "0", "1"]])
+        assert densitylab._sieve_bound(form.factor_coeffs, 5) == bound
+        assert densitylab._constant_start(form.factor_coeffs, bound) == (1, form.factor_coeffs)
+        for a, b, d in sieved_values(form, 5):
+            assert d == form.squarefree_value(a, b), (c, a, b)
+
+
 def test_single_cell_grid():
     _, form = _form("thm4_5")
     rep = enumerate_S(form, grid=1, modulus=1, x_max=10 ** 9)
@@ -391,7 +402,7 @@ def test_residue_table_matches_the_exact_path():
                         assert row(ell) == certify._ell_row(mc, order, ell, reduced), (fid, d, p, ell)
                 rho = _rho(a, b, p)
                 classes["good at infinity"] += rho == p
-                classes["p | W"] += table.screens[p][rho] == certify._ROOT
+                classes["p | W"] += not table._at(table.g, rho, p)
             for p in table.reductions.primes:
                 if p > good[-1]:
                     break

@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, rational functions, square classes, integers."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -397,6 +398,16 @@ def test_ratfunc_sqrt():
     assert ratfunc_sqrt(square) == RatFunc(upoly(1, 1), upoly(0, 3))
     with pytest.raises(ExactMathError):
         ratfunc_sqrt(RatFunc(upoly(0, 1)))
+
+
+def test_polynomials_survive_pickling():
+    p = upoly(Fraction(1, 2), 0, 3)
+    p._cleared()  # the cached integer form is rebuilt, not pickled
+    r = RatFunc(p, upoly(1, 1))
+    for value in (p, r, ZERO):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    assert pickle.loads(pickle.dumps(p))._cleared() == p._cleared()
 
 
 def test_rat_string_round_trip():

@@ -1,14 +1,15 @@
 """The construction engine: Moebius maps, twist identities, conic
 parametrizations, and family assembly."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import same_square_class, upoly
 from twistlab import exactmath, twistforge
-from twistlab.catalog import FAMILY_IDS, FamilySpec, twist_identities
-from twistlab.curves import CubicCurve, three_isogeny, two_isogeny_quotient
+from twistlab.catalog import FAMILY_IDS, FamilySpec, build, twist_identities
+from twistlab.curves import CubicCurve, CurvePoint, three_isogeny, two_isogeny_quotient
 from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.twistforge import (
     ConicPoint,
@@ -315,3 +316,16 @@ def test_genus_accounting():
     fam = assemble_rank3(f, tid1, tid2, par)
     assert genus_upper_bound(fam.g) == (fam.g.degree - 1) // 2 == 5
     assert fam.claimed_rank <= genus_upper_bound(fam.g)
+
+
+def test_validate_family_reports_g_and_rank_failures():
+    fam = build(FamilySpec.make("cor3_2"))
+    # g*(u + 1)^2 with each y divided by u + 1 keeps every point on its twist
+    s = RatFunc(upoly(1, 1))
+    pts = tuple(CurvePoint(p.x, p.y / s) for p in fam.points)
+    prov = dict(fam.provenance, degree=8)
+    assert validate_family(replace(fam, g=fam.g * s.num ** 2, points=pts, provenance=prov)) == ["g-squarefree"]
+    assert validate_family(replace(fam, points=fam.points + fam.points[:1], claimed_rank=3)) == [
+        "claimed-rank-genus-bound"
+    ]
+    assert "g-nonconstant" in validate_family(replace(fam, g=upoly(6)))
