@@ -12,15 +12,15 @@ the sign of each point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
 from math import prod
-from typing import Callable
 
 from .curves import CubicCurve, CurvePoint, three_isogeny, two_isogeny_quotient
 from .exactmath import (
     ONE,
     RatFunc,
+    Record,
     UniPoly,
     compose,
     rat_to_str,
@@ -50,17 +50,17 @@ class ConstraintError(ValueError):
     """A family hypothesis on the parameters is violated."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A family id plus a full parameter assignment satisfying its constraints."""
 
-    id: str
-    params: dict[str, Fraction] = field(default_factory=dict)
+    __slots__ = ("id", "params")
 
-    def __post_init__(self):
-        for violated, requirement in RECIPES[self.id].constraints:
-            if violated(self.params):
-                raise ConstraintError(f"{self.id} requires {requirement}")
+    def __init__(self, id: str, params: dict[str, Fraction]):
+        for violated, requirement in RECIPES[id].constraints:
+            if violated(params):
+                raise ConstraintError(f"{id} requires {requirement}")
+        self.id = id
+        self.params = params
 
     @staticmethod
     def make(family_id: str, params: dict | None = None) -> "FamilySpec":
@@ -408,8 +408,7 @@ def _display_rem4_6(spec: FamilySpec, pipe: TwistFamily) -> TwistFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Record):
     """One family: its parameters, its construction, and its displayed data.
 
     The construction is either the twist `identities` f(h) = k*f*j^2 for the
@@ -420,17 +419,36 @@ class Recipe:
     Each constraint is (violated(params), what the family requires).
     """
 
-    defaults: dict[str, Fraction]
-    degree: int
-    rank: int
-    constraints: tuple[tuple[Callable[[dict], bool], str], ...] = ()
-    identities: Callable[[dict], tuple[UniPoly, list[TwistIdentity]]] | None = None
-    conic: Callable[[dict, list[TwistIdentity]], RatFunc] | None = None
-    method: str = ""
-    pipeline: Callable[[FamilySpec], TwistFamily] | None = None
-    display: Callable[[FamilySpec], TwistFamily] | None = None
-    display_g: Callable[[FamilySpec, TwistFamily], TwistFamily] | None = None
-    quartic_split: bool = False
+    __slots__ = (
+        "defaults", "degree", "rank", "constraints", "identities", "conic",
+        "method", "pipeline", "display", "display_g", "quartic_split",
+    )
+
+    def __init__(
+        self,
+        defaults: dict[str, Fraction],
+        degree: int,
+        rank: int,
+        constraints: tuple[tuple[Callable[[dict], bool], str], ...] = (),
+        identities: Callable[[dict], tuple[UniPoly, list[TwistIdentity]]] | None = None,
+        conic: Callable[[dict, list[TwistIdentity]], RatFunc] | None = None,
+        method: str = "",
+        pipeline: Callable[[FamilySpec], TwistFamily] | None = None,
+        display: Callable[[FamilySpec], TwistFamily] | None = None,
+        display_g: Callable[[FamilySpec, TwistFamily], TwistFamily] | None = None,
+        quartic_split: bool = False,
+    ):
+        self.defaults = defaults
+        self.degree = degree
+        self.rank = rank
+        self.constraints = constraints
+        self.identities = identities
+        self.conic = conic
+        self.method = method
+        self.pipeline = pipeline
+        self.display = display
+        self.display_g = display_g
+        self.quartic_split = quartic_split
 
 
 RECIPES: dict[str, Recipe] = {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, tee
 
@@ -25,6 +24,7 @@ from .exactmath import (
     CheckError,
     ONE,
     ExactMathError,
+    Record,
     T,
     UniPoly,
     discriminant_cubic,
@@ -54,15 +54,17 @@ class CertifyError(CheckError, ValueError):
         return type(self), (self.check_name, str(self))
 
 
-@dataclass(frozen=True)
-class SpecializedTwist:
+class SpecializedTwist(Record):
     """A numeric twist obtained from a family at u = u0, normalized so the
     twisting constant is the squarefree part of g(u0)."""
 
-    u0: Fraction
-    d: int
-    base: CubicCurve
-    points: tuple[CurvePoint, ...]
+    __slots__ = ("u0", "d", "base", "points")
+
+    def __init__(self, u0: Fraction, d: int, base: CubicCurve, points: tuple[CurvePoint, ...]):
+        self.u0 = u0
+        self.d = d
+        self.base = base
+        self.points = points
 
     def to_json(self) -> dict:
         return {
@@ -244,8 +246,7 @@ def _extend_basis(basis: list[tuple[int, list[int]]], row: list[int], ell: int) 
     return True
 
 
-@dataclass(frozen=True)
-class SieveVerdict:
+class SieveVerdict(Record):
     """The points span a subgroup of rank >= `rank`, proved at `ell`.
 
     Rows: at each prime p of `primes_used`, v_ell(#E(F_p)) = 1 and
@@ -254,11 +255,14 @@ class SieveVerdict:
     #E(F_p), so E(Q)[ell] = 0 and the F_ell-rank bounds the Z-rank.
     """
 
-    independent: bool
-    rank: int
-    ell: int
-    primes_used: tuple[int, ...]
-    torsion_prime: int | None
+    __slots__ = ("independent", "rank", "ell", "primes_used", "torsion_prime")
+
+    def __init__(self, independent: bool, rank: int, ell: int, primes_used: tuple[int, ...], torsion_prime: int | None):
+        self.independent = independent
+        self.rank = rank
+        self.ell = ell
+        self.primes_used = primes_used
+        self.torsion_prime = torsion_prime
 
     def to_json(self) -> dict:
         return {

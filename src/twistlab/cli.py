@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 on a mathematical check failure (a CheckError),
 2 on usage errors, malformed input and unreadable files.  `--json` prints
 machine-readable output on stdout; diagnostics go to stderr.  Output is
 deterministic for identical inputs.
+
+Each command imports the modules it runs in its own handler, and only
+`jsonio` and `exactmath` are imported here, so that a command starts on
+the modules it needs: `catalog-build` loads neither `certify` nor
+`densitylab`, and `certify` does not load `catalog`.
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog, certify as certify_mod, densitylab, jsonio
-from .catalog import FamilySpec
-from .certify import CertifyError
+from . import jsonio
 from .exactmath import CheckError, rat_from_str
 
 
@@ -60,6 +63,8 @@ def _load_family(path: str):
 
 
 def _cmd_catalog_list(args) -> int:
+    from . import catalog
+
     rows = []
     for fid in catalog.FAMILY_IDS:
         rows.append(
@@ -83,12 +88,16 @@ def _emit_family(args, fam, headline: str) -> int:
 
 
 def _cmd_catalog_build(args) -> int:
-    fam = catalog.build(FamilySpec.make(args.id, _parse_params(args.params)))
+    from . import catalog
+
+    fam = catalog.build(catalog.FamilySpec.make(args.id, _parse_params(args.params)))
     return _emit_family(args, fam, f"family {args.id} (rank >= {fam.claimed_rank}), deg g = {fam.g.degree}")
 
 
 def _forge(args, want_rank: int) -> int:
-    fam = catalog.build_pipeline(FamilySpec.make(args.id, _parse_params(args.params)))
+    from . import catalog
+
+    fam = catalog.build_pipeline(catalog.FamilySpec.make(args.id, _parse_params(args.params)))
     if fam.claimed_rank != want_rank:
         print(f"family {args.id} carries rank {fam.claimed_rank}, not {want_rank}", file=sys.stderr)
         return 2
@@ -96,7 +105,9 @@ def _forge(args, want_rank: int) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    spec = FamilySpec.make(args.id, _parse_params(args.params))
+    from . import catalog
+
+    spec = catalog.FamilySpec.make(args.id, _parse_params(args.params))
     report = catalog.crosscheck(spec)
     lines = [f"crosscheck {report['family']}: {'OK' if report['ok'] else 'MISMATCH'}"] + report["messages"]
     _emit(args, report, lines)
@@ -104,10 +115,12 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import certify as certify_mod
+
     fam = _load_family(args.family)
     try:
         cert = certify_mod.certify_family(fam, samples=args.samples, prime_budget=args.primes)
-    except CertifyError as exc:
+    except certify_mod.CertifyError as exc:
         print(f"certification failed at check: {exc.check_name}", file=sys.stderr)
         _emit(args, {"failed_check": exc.check_name, "error": str(exc)}, [f"FAILED: {exc.check_name}"])
         return 1
@@ -123,6 +136,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
+    from . import certify as certify_mod
+
     fam = _load_family(args.family)
     certify_mod.structural_checks(fam)
     spec = certify_mod.specialize(fam, rat_from_str(args.u0))
@@ -135,6 +150,8 @@ def _cmd_specialize(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import densitylab
+
     fam = _load_family(args.family)
     form = densitylab.homog_form(fam.g, fam.provenance.get("factor_polys"))
     report = densitylab.enumerate_S(
@@ -162,60 +179,84 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twistlab",
-        description="Construct, certify, and survey high-rank quadratic twist families over Q(u).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command, which adds its arguments when it first
+    parses: `--id` takes its choices from `catalog`, and `--samples` and
+    `--primes` their defaults from `certify`, so building the top-level
+    parser imports neither."""
 
-    def add_common(p, out=True):
-        p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
-        if out:
-            p.add_argument("--out", metavar="FILE", help="also write the JSON payload to FILE")
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
 
-    p = sub.add_parser("catalog-list", help="list the built-in families")
-    add_common(p, out=False)
-    p.set_defaults(func=_cmd_catalog_list)
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
-    by_id = [
-        ("catalog-build", "build a family from its displayed data", _cmd_catalog_build),
-        ("forge-rank2", "derive a rank-2 family through the pipeline", lambda a: _forge(a, 2)),
-        ("forge-rank3", "derive a rank-3 family through the pipeline", lambda a: _forge(a, 3)),
-        ("crosscheck", "compare displayed data against the pipeline derivation", _cmd_crosscheck),
-    ]
-    for name, help_text, func in by_id:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--id", required=True, choices=catalog.FAMILY_IDS)
-        p.add_argument("--params", help="comma-separated name=value parameter overrides")
-        add_common(p)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("certify", help="produce a rank certificate for a family JSON file")
+def _common_args(p, out=True):
+    p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
+    if out:
+        p.add_argument("--out", metavar="FILE", help="also write the JSON payload to FILE")
+
+
+def _family_id_args(p):
+    from .catalog import FAMILY_IDS
+
+    p.add_argument("--id", required=True, choices=FAMILY_IDS)
+    p.add_argument("--params", help="comma-separated name=value parameter overrides")
+    _common_args(p)
+
+
+def _certify_args(p):
+    from .certify import DEFAULT_PRIME_BUDGET, DEFAULT_SAMPLES
+
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--samples", type=_positive_int, default=certify_mod.DEFAULT_SAMPLES)
-    p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
-    add_common(p)
-    p.set_defaults(func=_cmd_certify)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--primes", type=_positive_int, default=DEFAULT_PRIME_BUDGET)
+    _common_args(p)
 
-    p = sub.add_parser("specialize", help="specialize a family at a rational u0")
+
+def _specialize_args(p):
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--u0", required=True, help="rational number, e.g. 3/2")
-    add_common(p)
-    p.set_defaults(func=_cmd_specialize)
+    _common_args(p)
 
-    p = sub.add_parser("density", help="count distinct squarefree twists over a coprime grid")
+
+def _density_args(p):
+    from .certify import DEFAULT_PRIME_BUDGET
+
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--grid", type=_positive_int, required=True)
     p.add_argument("--modulus", type=_positive_int, default=1)
     p.add_argument("--x-max", type=_positive_int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--primes", type=_positive_int, default=certify_mod.DEFAULT_PRIME_BUDGET)
+    p.add_argument("--primes", type=_positive_int, default=DEFAULT_PRIME_BUDGET)
     p.add_argument("--threads", type=_positive_int, default=1, help="no effect: certification runs in one process")
     p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")
-    add_common(p)
-    p.set_defaults(func=_cmd_density)
+    _common_args(p)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="twistlab",
+        description="Construct, certify, and survey high-rank quadratic twist families over Q(u).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    commands = [
+        ("catalog-list", "list the built-in families", lambda p: _common_args(p, out=False), _cmd_catalog_list),
+        ("catalog-build", "build a family from its displayed data", _family_id_args, _cmd_catalog_build),
+        ("forge-rank2", "derive a rank-2 family through the pipeline", _family_id_args, lambda a: _forge(a, 2)),
+        ("forge-rank3", "derive a rank-3 family through the pipeline", _family_id_args, lambda a: _forge(a, 3)),
+        ("crosscheck", "compare displayed data against the pipeline derivation", _family_id_args, _cmd_crosscheck),
+        ("certify", "produce a rank certificate for a family JSON file", _certify_args, _cmd_certify),
+        ("specialize", "specialize a family at a rational u0", _specialize_args, _cmd_specialize),
+        ("density", "count distinct squarefree twists over a coprime grid", _density_args, _cmd_density),
+    ]
+    for name, help_text, add_arguments, func in commands:
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments).set_defaults(func=func)
     return parser
 
 

@@ -9,38 +9,36 @@ used verbatim, without short-Weierstrass coordinate changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .exactmath import CheckError, RatFunc, UniPoly, compose, discriminant_cubic, is_squarefree_int
-
-FieldElem = Union[Fraction, RatFunc]
+from .exactmath import CheckError, RatFunc, Record, UniPoly, compose, discriminant_cubic, is_squarefree_int
 
 
 class CurveError(CheckError, ValueError):
     """A curve, point, or isogeny violated one of its construction hypotheses."""
 
 
-@dataclass(frozen=True)
-class CubicCurve:
+class CubicCurve(Record):
     """y^2 = f(x) with f a monic nonsingular cubic over Q."""
 
-    f: UniPoly
+    __slots__ = ("f",)
 
-    def __post_init__(self):
-        if self.f.degree != 3 or self.f.leading() != 1:
+    def __init__(self, f: UniPoly):
+        if f.degree != 3 or f.leading() != 1:
             raise CurveError("curve cubic must be monic of degree 3")
-        if discriminant_cubic(self.f) == 0:
+        if discriminant_cubic(f) == 0:
             raise CurveError("singular cubic: repeated root (discriminant is zero)")
+        self.f = f
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     """Affine point (x, y) or the point at infinity (x is None)."""
 
-    x: FieldElem | None
-    y: FieldElem | None
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Fraction | RatFunc | None, y: Fraction | RatFunc | None):
+        self.x = x
+        self.y = y
 
     @property
     def is_infinity(self) -> bool:
@@ -53,7 +51,7 @@ class CurvePoint:
 INFINITY = CurvePoint(None, None)
 
 
-def on_twist(d: FieldElem, f: UniPoly, pt: CurvePoint) -> bool:
+def on_twist(d: Fraction | RatFunc, f: UniPoly, pt: CurvePoint) -> bool:
     """Exact test of d*y^2 == f(x) for d and the coordinates in Q or Q(u);
     infinity is on every twist, and d itself is not checked.
 
@@ -68,8 +66,7 @@ def on_twist(d: FieldElem, f: UniPoly, pt: CurvePoint) -> bool:
     return d.num * y.num * y.num * x.den ** n == f.eval_homog(x.num, x.den, n) * d.den * y.den * y.den
 
 
-@dataclass(frozen=True)
-class TwistedCurve:
+class TwistedCurve(Record):
     """D*y^2 = f(x) for a nonzero twisting element D.
 
     D in Q must be a squarefree integer (Q-twists are produced by
@@ -77,10 +74,16 @@ class TwistedCurve:
     nonzero rational function, usually the squarefree twist polynomial g.
     """
 
-    base: CubicCurve
-    d: FieldElem
+    __slots__ = ("base", "d")
+
+    def __init__(self, base: CubicCurve, d: Fraction | RatFunc):
+        self.base = base
+        self.d = d
+        self.__post_init__()
 
     def __post_init__(self):
+        # kept apart from __init__ as the one place that checks D, so that
+        # bench/tracer.py can count constructions by wrapping it
         d = self.d
         if isinstance(d, RatFunc):
             if d.is_zero():
@@ -91,7 +94,7 @@ class TwistedCurve:
             raise CurveError("twist by zero")
         if d.denominator != 1 or not is_squarefree_int(d.numerator):
             raise CurveError("rational twist constant must be a squarefree integer")
-        object.__setattr__(self, "d", d)
+        self.d = d
 
     # -- membership ----------------------------------------------------------
 
@@ -124,24 +127,22 @@ class TwistedCurve:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isogeny:
+class Isogeny(Record):
     """(X, Y) -> (phi_x(X), Y*phi_y(X)) from `source` to `target`.
 
     The defining identity f_target(phi_x(X)) = f_source(X) * phi_y(X)^2 is
     verified symbolically at construction.
     """
 
-    source: CubicCurve
-    target: CubicCurve
-    phi_x: RatFunc
-    phi_y: RatFunc
+    __slots__ = ("source", "target", "phi_x", "phi_y")
 
-    def __post_init__(self):
-        lhs = compose(self.target.f, self.phi_x)
-        rhs = RatFunc(self.source.f) * self.phi_y * self.phi_y
-        if lhs != rhs:
+    def __init__(self, source: CubicCurve, target: CubicCurve, phi_x: RatFunc, phi_y: RatFunc):
+        if compose(target.f, phi_x) != RatFunc(source.f) * phi_y * phi_y:
             raise CurveError("isogeny identity f_target(phi_x) = f_source * phi_y^2 failed")
+        self.source = source
+        self.target = target
+        self.phi_x = phi_x
+        self.phi_y = phi_y
 
 
 def two_isogeny_quotient(curve: CubicCurve) -> Isogeny:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -30,6 +29,7 @@ from .exactmath import (
     ONE,
     CheckError,
     RatFunc,
+    Record,
     UniPoly,
     _sieve,
     eval_form,
@@ -55,8 +55,7 @@ def _to_int_poly(p: UniPoly) -> list[int]:
     return [s * int(v) for v in prim.coeffs]
 
 
-@dataclass(frozen=True)
-class HomogForm:
+class HomogForm(Record):
     """Integer realization of (a, b) -> b^(2k) g(a/b), with the binary forms
     whose values multiply to F(a, b) times a constant rational square.
 
@@ -66,9 +65,12 @@ class HomogForm:
     else F alone.
     """
 
-    k: int
-    coeffs: tuple[int, ...]
-    factor_coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("k", "coeffs", "factor_coeffs")
+
+    def __init__(self, k: int, coeffs: tuple[int, ...], factor_coeffs: tuple[tuple[int, ...], ...]):
+        self.k = k
+        self.coeffs = coeffs
+        self.factor_coeffs = factor_coeffs
 
     @property
     def degree(self) -> int:
@@ -122,17 +124,36 @@ def homog_form(g: UniPoly, factor_polys=None) -> HomogForm:
     return HomogForm(k, coeffs, factor_coeffs)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    family: str
-    grid: int
-    modulus: int
-    x_grid: tuple[int, ...]
-    counts: tuple[int, ...]
-    witnesses: dict  # D -> (a, b)
-    certified_counts: tuple[int, ...] | None = None
-    certifications: dict | None = None  # D -> witness record
-    fit: tuple[float, float, float] | None = None
+class DensityReport(Record):
+    """The distinct squarefree D counted below each x of `x_grid`, with
+    `witnesses` D -> (a, b).  `certified_density` adds `certified_counts`
+    and `certifications` D -> witness record; `with_fit` adds the fit."""
+
+    __slots__ = (
+        "family", "grid", "modulus", "x_grid", "counts", "witnesses", "certified_counts", "certifications", "fit"
+    )
+
+    def __init__(
+        self,
+        family: str,
+        grid: int,
+        modulus: int,
+        x_grid: tuple[int, ...],
+        counts: tuple[int, ...],
+        witnesses: dict,
+        certified_counts: tuple[int, ...] | None = None,
+        certifications: dict | None = None,
+        fit: tuple[float, float, float] | None = None,
+    ):
+        self.family = family
+        self.grid = grid
+        self.modulus = modulus
+        self.x_grid = x_grid
+        self.counts = counts
+        self.witnesses = witnesses
+        self.certified_counts = certified_counts
+        self.certifications = certifications
+        self.fit = fit
 
     def to_json(self, include_witnesses: bool = True) -> dict:
         out = {
@@ -365,7 +386,11 @@ def fit_exponent(report: DensityReport) -> tuple[float, float, float]:
 
 
 def with_fit(report: DensityReport) -> DensityReport:
-    return replace(report, fit=fit_exponent(report))
+    r = report
+    return DensityReport(
+        r.family, r.grid, r.modulus, r.x_grid, r.counts, r.witnesses, r.certified_counts, r.certifications,
+        fit_exponent(r),
+    )
 
 
 def _certify_one(table: ResidueTable, prime_budget: int, d: int, a: int, b: int):
@@ -401,4 +426,7 @@ def certified_density(
     records = dict(_certify_one(table, prime_budget, d, a, b) for d, (a, b) in sorted(report.witnesses.items()))
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)
-    return replace(report, certified_counts=certified_counts, certifications=records)
+    r = report
+    return DensityReport(
+        r.family, r.grid, r.modulus, r.x_grid, r.counts, r.witnesses, certified_counts, records, r.fit
+    )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm, prod
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
 _RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -24,6 +23,25 @@ class CheckError(Exception):
 
 class ExactMathError(CheckError, ArithmeticError):
     """Base error for exact-arithmetic violations (division by zero, bad degree...)."""
+
+
+class Record:
+    """Base of the package's record classes, whose fields are their
+    `__slots__`: a record equals another of its class with equal fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -81,7 +99,7 @@ class UniPoly:
 
     __slots__ = ("coeffs", "_int_form")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         cs = [_as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -502,7 +520,7 @@ class RatFunc:
 
     # -- evaluation / substitution -------------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Evaluate at a rational point; raises on a pole."""
         x = _as_rat(x)
         d, d_den = self.den._at(x.numerator, x.denominator)

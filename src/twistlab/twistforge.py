@@ -10,15 +10,15 @@ the tautological point at x = t(u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .curves import CubicCurve, CurvePoint, Isogeny, TwistedCurve
 from .exactmath import (
     CheckError,
     ExactMathError,
     RatFunc,
+    Record,
     UniPoly,
     compose,
     ratfunc_sqrt,
@@ -65,25 +65,23 @@ def mobius_from_triples(src: Sequence[Fraction], dst: Sequence[Fraction]) -> Rat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistIdentity:
+class TwistIdentity(Record):
     """The identity compose(f, h) == k * f * j^2, with k squarefree linear.
 
     k and j are derived here by `square_class`, whose re-expansion check
     proves k * j^2 == f(h)/f; no caller supplies them.
     """
 
-    f: UniPoly
-    h: RatFunc
-    k: UniPoly = field(init=False)
-    j: RatFunc = field(init=False)
+    __slots__ = ("f", "h", "k", "j")
 
-    def __post_init__(self):
-        k, j = square_class(compose(self.f, self.h) / RatFunc(self.f))
+    def __init__(self, f: UniPoly, h: RatFunc):
+        k, j = square_class(compose(f, h) / RatFunc(f))
         if k.degree != 1:
             raise ForgeError("twist identity f(h) = k*f*j^2 needs a linear square-class factor k")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
+        self.f = f
+        self.h = h
+        self.k = k
+        self.j = j
 
 
 def _transported(f: UniPoly, mu: RatFunc, h: RatFunc, what: str) -> TwistIdentity:
@@ -129,13 +127,15 @@ def twist_from_isogeny(f: UniPoly, iso: Isogeny, mu: RatFunc) -> TwistIdentity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConicPoint:
+class ConicPoint(Record):
     """Rational point on the curve r^2 = k1(t), s^2 = k2(t)."""
 
-    t0: Fraction
-    r0: Fraction
-    s0: Fraction
+    __slots__ = ("t0", "r0", "s0")
+
+    def __init__(self, t0: Fraction, r0: Fraction, s0: Fraction):
+        self.t0 = t0
+        self.r0 = r0
+        self.s0 = s0
 
 
 def conic_point_for(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicPoint:
@@ -196,15 +196,19 @@ def conic_param_double(k1: UniPoly, k2: UniPoly, pt: ConicPoint) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistFamily:
+class TwistFamily(Record):
     """A squarefree g in Q[u], a base curve over Q, and points on the twist by g."""
 
-    base: CubicCurve
-    g: UniPoly
-    points: tuple[CurvePoint, ...]
-    claimed_rank: int
-    provenance: dict
+    __slots__ = ("base", "g", "points", "claimed_rank", "provenance")
+
+    def __init__(
+        self, base: CubicCurve, g: UniPoly, points: tuple[CurvePoint, ...], claimed_rank: int, provenance: dict
+    ):
+        self.base = base
+        self.g = g
+        self.points = points
+        self.claimed_rank = claimed_rank
+        self.provenance = provenance
 
     def curve(self) -> TwistedCurve:
         return TwistedCurve(self.base, RatFunc(self.g))

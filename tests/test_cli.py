@@ -1,19 +1,21 @@
 """CLI behavior: exit codes, JSON round-trips, determinism, tamper detection."""
 
+import ast
 import json
-from dataclasses import replace
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from twistlab.catalog import ConstraintError, FamilySpec, build
+from twistlab.catalog import FAMILY_IDS, ConstraintError, FamilySpec, build
 from twistlab.certify import BadPrimeError, CertifyError, certify_family
 from twistlab.cli import run
 from twistlab.curves import INFINITY, CurveError, CurvePoint
 from twistlab.densitylab import DensityError
 from twistlab.exactmath import CheckError, ExactMathError, RatFunc, UniPoly
 from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
-from twistlab.twistforge import ForgeError
+from twistlab.twistforge import ForgeError, TwistFamily
 
 
 def _capture(capsys):
@@ -114,10 +116,11 @@ def _tampered_thm4_5():
     fam = build(FamilySpec.make("thm4_5"))
     pts = list(fam.points)
     pts[1] = CurvePoint(pts[1].x + 1, pts[1].y)
-    return [
-        (family_to_json(replace(fam, points=(INFINITY,) + fam.points[1:])), "nonconstant-x[1]"),
-        (family_to_json(replace(fam, points=tuple(pts))), "on-curve[2]"),
-    ]
+
+    def with_points(points):
+        return family_to_json(TwistFamily(fam.base, fam.g, points, fam.claimed_rank, fam.provenance))
+
+    return [(with_points((INFINITY,) + fam.points[1:]), "nonconstant-x[1]"), (with_points(tuple(pts)), "on-curve[2]")]
 
 
 @pytest.mark.parametrize(
@@ -152,7 +155,8 @@ def test_certify_rejects_a_g_with_a_square_factor(capsys, tmp_path):
     s = RatFunc(UniPoly([1, 1]))
     pts = tuple(CurvePoint(p.x, p.y / s) for p in fam.points)
     path = tmp_path / "square.json"
-    dump_json(family_to_json(replace(fam, g=fam.g * s.num ** 2, points=pts)), path=path)
+    squared = TwistFamily(fam.base, fam.g * s.num ** 2, pts, fam.claimed_rank, fam.provenance)
+    dump_json(family_to_json(squared), path=path)
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, err = _capture(capsys)
     assert json.loads(out)["failed_check"] == "g-squarefree"
@@ -246,7 +250,11 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["catalog-build", "--id", "nonsense"])
     assert exc.value.code == 2
-    _capture(capsys)
+    _, err = _capture(capsys)
+    # the choices come from catalog, which the parser loads only for this command
+    assert "argument --id: invalid choice: 'nonsense'" in err
+    choices = err.split("choose from", 1)[1]
+    assert len(FAMILY_IDS) == 9 and all(fid in choices for fid in FAMILY_IDS)
     assert run(["catalog-build", "--id", "thm4_1", "--params", "a=0"]) == 2
     _capture(capsys)
     assert run(["catalog-build", "--id", "thm4_1", "--params", "a=zebra"]) == 2
@@ -358,3 +366,37 @@ def test_inputs_never_mutated(capsys, tmp_path):
     run(["density", "--family", str(path), "--grid", "5", "--json"])
     _capture(capsys)
     assert Path(path).read_bytes() == before
+
+
+_MODULES_AFTER = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from twistlab.cli import run; "
+    "code = run(sys.argv[2:]); print(sorted(sys.modules)); sys.exit(code)"
+)
+
+
+def _modules_after(argv, cwd) -> set:
+    """The modules loaded by one command in a fresh `python -S`, with the
+    package's src on sys.path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_AFTER, src, *argv], cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    path = str(tmp_path / "fam.json")
+    # (argv, the module the command runs, modules it must not load)
+    commands = [
+        (["catalog-build", "--id", "thm4_5", "--out", path], "catalog", {"certify", "densitylab"}),
+        (["crosscheck", "--id", "thm4_5"], "catalog", {"certify", "densitylab"}),
+        (["certify", "--family", path], "certify", {"catalog", "densitylab"}),
+        (["specialize", "--family", path, "--u0", "3/2"], "certify", {"catalog", "densitylab"}),
+        (["density", "--family", path, "--grid", "6", "--certify"], "densitylab", {"catalog"}),
+    ]
+    for argv, runs, absent in commands:
+        loaded = _modules_after(argv, tmp_path)
+        assert f"twistlab.{runs}" in loaded, argv
+        unwanted = {f"twistlab.{name}" for name in absent} | {"dataclasses", "inspect", "typing"}
+        assert not loaded & unwanted, (argv, sorted(loaded & unwanted))

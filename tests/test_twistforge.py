@@ -1,7 +1,6 @@
 """The construction engine: Moebius maps, twist identities, conic
 parametrizations, and family assembly."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from twistlab.exactmath import ONE, RatFunc, UniPoly, compose, square_class
 from twistlab.twistforge import (
     ConicPoint,
     ForgeError,
+    TwistFamily,
     TwistIdentity,
     assemble_rank2,
     assemble_rank3,
@@ -324,8 +324,9 @@ def test_validate_family_reports_g_and_rank_failures():
     s = RatFunc(upoly(1, 1))
     pts = tuple(CurvePoint(p.x, p.y / s) for p in fam.points)
     prov = dict(fam.provenance, degree=8)
-    assert validate_family(replace(fam, g=fam.g * s.num ** 2, points=pts, provenance=prov)) == ["g-squarefree"]
-    assert validate_family(replace(fam, points=fam.points + fam.points[:1], claimed_rank=3)) == [
+    base, rank, points = fam.base, fam.claimed_rank, fam.points
+    assert validate_family(TwistFamily(base, fam.g * s.num ** 2, pts, rank, prov)) == ["g-squarefree"]
+    assert validate_family(TwistFamily(base, fam.g, points + points[:1], 3, fam.provenance)) == [
         "claimed-rank-genus-bound"
     ]
-    assert "g-nonconstant" in validate_family(replace(fam, g=upoly(6)))
+    assert "g-nonconstant" in validate_family(TwistFamily(base, upoly(6), points, rank, fam.provenance))
