@@ -12,7 +12,6 @@ the sign of each point.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 from math import prod
 
@@ -59,8 +58,7 @@ class FamilySpec(Record):
         for violated, requirement in RECIPES[id].constraints:
             if violated(params):
                 raise ConstraintError(f"{id} requires {requirement}")
-        self.id = id
-        self.params = params
+        super().__init__(id, params)
 
     @staticmethod
     def make(family_id: str, params: dict | None = None) -> "FamilySpec":
@@ -218,10 +216,8 @@ def _attach_quartic_factors(fam: TwistFamily, t_of_u: RatFunc) -> TwistFamily:
     k, _ = square_class(RatFunc(prod(quartics, start=ONE)) / RatFunc(fam.g))
     if k != ONE:
         raise ForgeError("quartic factor split does not multiply to g up to squares")
-    prov = dict(fam.provenance)
-    prov["factor_polys"] = [poly_to_json(qn) for qn in quartics]
-    prov["quartic_split"] = True
-    return TwistFamily(fam.base, fam.g, fam.points, fam.claimed_rank, prov)
+    prov = dict(fam.provenance, factor_polys=[poly_to_json(qn) for qn in quartics], quartic_split=True)
+    return fam._replace(provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +419,10 @@ class Recipe(Record):
         "defaults", "degree", "rank", "constraints", "identities", "conic",
         "method", "pipeline", "display", "display_g", "quartic_split",
     )
-
-    def __init__(
-        self,
-        defaults: dict[str, Fraction],
-        degree: int,
-        rank: int,
-        constraints: tuple[tuple[Callable[[dict], bool], str], ...] = (),
-        identities: Callable[[dict], tuple[UniPoly, list[TwistIdentity]]] | None = None,
-        conic: Callable[[dict, list[TwistIdentity]], RatFunc] | None = None,
-        method: str = "",
-        pipeline: Callable[[FamilySpec], TwistFamily] | None = None,
-        display: Callable[[FamilySpec], TwistFamily] | None = None,
-        display_g: Callable[[FamilySpec, TwistFamily], TwistFamily] | None = None,
-        quartic_split: bool = False,
-    ):
-        self.defaults = defaults
-        self.degree = degree
-        self.rank = rank
-        self.constraints = constraints
-        self.identities = identities
-        self.conic = conic
-        self.method = method
-        self.pipeline = pipeline
-        self.display = display
-        self.display_g = display_g
-        self.quartic_split = quartic_split
+    _defaults = {
+        "constraints": (), "identities": None, "conic": None, "method": "",
+        "pipeline": None, "display": None, "display_g": None, "quartic_split": False,
+    }
 
 
 RECIPES: dict[str, Recipe] = {
@@ -611,7 +585,7 @@ def rem4_6_tower() -> tuple[TwistFamily, TwistFamily, TwistFamily]:
     fam2 = checked_family(TwistFamily(fam1.base, g2, (p1, p2), 2, prov2))
     top = build(FamilySpec.make("thm4_5"))
     prov3 = dict(top.provenance, notes="tower top: same curve as the degree-12 family")
-    return fam1, fam2, TwistFamily(top.base, top.g, top.points, 3, prov3)
+    return fam1, fam2, top._replace(claimed_rank=3, provenance=prov3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from itertools import count, islice, tee
 
-from .curves import CubicCurve, CurvePoint
+from .curves import CurvePoint
 from .exactmath import (
     _SMALL_PRIMES,
     CheckError,
@@ -49,22 +49,12 @@ class CertifyError(CheckError, ValueError):
         self.check_name = check_name
         super().__init__(message or f"certification aborted at check {check_name!r}")
 
-    def __reduce__(self):
-        # the default pickles only args, which holds the message alone
-        return type(self), (self.check_name, str(self))
-
 
 class SpecializedTwist(Record):
     """A numeric twist obtained from a family at u = u0, normalized so the
     twisting constant is the squarefree part of g(u0)."""
 
     __slots__ = ("u0", "d", "base", "points")
-
-    def __init__(self, u0: Fraction, d: int, base: CubicCurve, points: tuple[CurvePoint, ...]):
-        self.u0 = u0
-        self.d = d
-        self.base = base
-        self.points = points
 
     def to_json(self) -> dict:
         return {
@@ -256,13 +246,6 @@ class SieveVerdict(Record):
     """
 
     __slots__ = ("independent", "rank", "ell", "primes_used", "torsion_prime")
-
-    def __init__(self, independent: bool, rank: int, ell: int, primes_used: tuple[int, ...], torsion_prime: int | None):
-        self.independent = independent
-        self.rank = rank
-        self.ell = ell
-        self.primes_used = primes_used
-        self.torsion_prime = torsion_prime
 
     def to_json(self) -> dict:
         return {

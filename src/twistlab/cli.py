@@ -8,7 +8,8 @@ deterministic for identical inputs.
 Each command imports the modules it runs in its own handler, and only
 `jsonio` and `exactmath` are imported here, so that a command starts on
 the modules it needs: `catalog-build` loads neither `certify` nor
-`densitylab`, and `certify` does not load `catalog`.
+`densitylab`, `certify` does not load `catalog`, and `density` loads
+`certify` only under `--certify`.
 """
 
 from __future__ import annotations
@@ -181,9 +182,10 @@ def _cmd_density(args) -> int:
 
 class _CommandParser(argparse.ArgumentParser):
     """The parser of one command, which adds its arguments when it first
-    parses: `--id` takes its choices from `catalog`, and `--samples` and
-    `--primes` their defaults from `certify`, so building the top-level
-    parser imports neither."""
+    parses: `--id` takes its choices from `catalog`, and the `certify`
+    command's `--samples` and `--primes` their defaults from `certify`, so
+    building the top-level parser imports neither.  `density --primes`
+    leaves its default to `certified_density`."""
 
     def __init__(self, *args, add_arguments, **kwargs):
         super().__init__(*args, **kwargs)
@@ -226,14 +228,12 @@ def _specialize_args(p):
 
 
 def _density_args(p):
-    from .certify import DEFAULT_PRIME_BUDGET
-
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--grid", type=_positive_int, required=True)
     p.add_argument("--modulus", type=_positive_int, default=1)
     p.add_argument("--x-max", type=_positive_int, default=None, dest="x_max")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--primes", type=_positive_int, default=DEFAULT_PRIME_BUDGET)
+    p.add_argument("--primes", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1, help="no effect: certification runs in one process")
     p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")
     _common_args(p)

@@ -28,17 +28,13 @@ class CubicCurve(Record):
             raise CurveError("curve cubic must be monic of degree 3")
         if discriminant_cubic(f) == 0:
             raise CurveError("singular cubic: repeated root (discriminant is zero)")
-        self.f = f
+        super().__init__(f)
 
 
 class CurvePoint(Record):
     """Affine point (x, y) or the point at infinity (x is None)."""
 
     __slots__ = ("x", "y")
-
-    def __init__(self, x: Fraction | RatFunc | None, y: Fraction | RatFunc | None):
-        self.x = x
-        self.y = y
 
     @property
     def is_infinity(self) -> bool:
@@ -77,8 +73,7 @@ class TwistedCurve(Record):
     __slots__ = ("base", "d")
 
     def __init__(self, base: CubicCurve, d: Fraction | RatFunc):
-        self.base = base
-        self.d = d
+        super().__init__(base, d)
         self.__post_init__()
 
     def __post_init__(self):
@@ -139,10 +134,7 @@ class Isogeny(Record):
     def __init__(self, source: CubicCurve, target: CubicCurve, phi_x: RatFunc, phi_y: RatFunc):
         if compose(target.f, phi_x) != RatFunc(source.f) * phi_y * phi_y:
             raise CurveError("isogeny identity f_target(phi_x) = f_source * phi_y^2 failed")
-        self.source = source
-        self.target = target
-        self.phi_x = phi_x
-        self.phi_y = phi_y
+        super().__init__(source, target, phi_x, phi_y)
 
 
 def two_isogeny_quotient(curve: CubicCurve) -> Isogeny:

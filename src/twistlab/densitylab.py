@@ -17,14 +17,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .certify import (
-    DEFAULT_PRIME_BUDGET,
-    CertifyError,
-    ResidueTable,
-    certify_specialization,
-    specialize,
-    structural_checks,
-)
 from .exactmath import (
     ONE,
     CheckError,
@@ -66,11 +58,6 @@ class HomogForm(Record):
     """
 
     __slots__ = ("k", "coeffs", "factor_coeffs")
-
-    def __init__(self, k: int, coeffs: tuple[int, ...], factor_coeffs: tuple[tuple[int, ...], ...]):
-        self.k = k
-        self.coeffs = coeffs
-        self.factor_coeffs = factor_coeffs
 
     @property
     def degree(self) -> int:
@@ -132,28 +119,7 @@ class DensityReport(Record):
     __slots__ = (
         "family", "grid", "modulus", "x_grid", "counts", "witnesses", "certified_counts", "certifications", "fit"
     )
-
-    def __init__(
-        self,
-        family: str,
-        grid: int,
-        modulus: int,
-        x_grid: tuple[int, ...],
-        counts: tuple[int, ...],
-        witnesses: dict,
-        certified_counts: tuple[int, ...] | None = None,
-        certifications: dict | None = None,
-        fit: tuple[float, float, float] | None = None,
-    ):
-        self.family = family
-        self.grid = grid
-        self.modulus = modulus
-        self.x_grid = x_grid
-        self.counts = counts
-        self.witnesses = witnesses
-        self.certified_counts = certified_counts
-        self.certifications = certifications
-        self.fit = fit
+    _defaults = {"certified_counts": None, "certifications": None, "fit": None}
 
     def to_json(self, include_witnesses: bool = True) -> dict:
         out = {
@@ -386,17 +352,16 @@ def fit_exponent(report: DensityReport) -> tuple[float, float, float]:
 
 
 def with_fit(report: DensityReport) -> DensityReport:
-    r = report
-    return DensityReport(
-        r.family, r.grid, r.modulus, r.x_grid, r.counts, r.witnesses, r.certified_counts, r.certifications,
-        fit_exponent(r),
-    )
+    return report._replace(fit=fit_exponent(report))
 
 
-def _certify_one(table: ResidueTable, prime_budget: int, d: int, a: int, b: int):
+def _certify_one(table, prime_budget: int, d: int, a: int, b: int):
     u0 = Fraction(a, b)
     verdict = table.verdict(d, a, b, prime_budget)
     if verdict is None:  # the table cannot decide this D
+        # imported on this rare path only, so that the lookup is not paid per D
+        from .certify import CertifyError, certify_specialization, specialize
+
         try:
             spec = specialize(table.fam, u0, d)
         except CertifyError as exc:
@@ -406,11 +371,7 @@ def _certify_one(table: ResidueTable, prime_budget: int, d: int, a: int, b: int)
     return d, rec
 
 
-def certified_density(
-    fam: TwistFamily,
-    report: DensityReport,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-) -> DensityReport:
+def certified_density(fam: TwistFamily, report: DensityReport, prime_budget: int | None = None) -> DensityReport:
     """Attach an independence verdict to every counted D, certified when
     the proved rank reaches the family's claimed rank.  Every D is
     certified in the calling process from one residue table of the family.
@@ -418,7 +379,11 @@ def certified_density(
     specialized point on its curve.  A D whose u0 hits a root of g or a
     pole of a point, or whose g(u0)/D is not a square, is recorded as not
     certified; a CertifyError of the sieve, such as a wrong point count,
-    aborts."""
+    aborts.  prime_budget defaults to certify's DEFAULT_PRIME_BUDGET."""
+    from .certify import DEFAULT_PRIME_BUDGET, ResidueTable, structural_checks
+
+    if prime_budget is None:
+        prime_budget = DEFAULT_PRIME_BUDGET
     if prime_budget < 1:
         raise ValueError(f"prime_budget must be positive, got {prime_budget}")
     structural_checks(fam)
@@ -426,7 +391,4 @@ def certified_density(
     records = dict(_certify_one(table, prime_budget, d, a, b) for d, (a, b) in sorted(report.witnesses.items()))
     certified_mags = sorted(abs(d) for d, rec in records.items() if rec["certified"])
     certified_counts = tuple(bisect_left(certified_mags, x) for x in report.x_grid)
-    r = report
-    return DensityReport(
-        r.family, r.grid, r.modulus, r.x_grid, r.counts, r.witnesses, certified_counts, records, r.fit
-    )
+    return report._replace(certified_counts=certified_counts, certifications=records)

@@ -27,9 +27,43 @@ class ExactMathError(CheckError, ArithmeticError):
 
 class Record:
     """Base of the package's record classes, whose fields are their
-    `__slots__`: a record equals another of its class with equal fields."""
+    `__slots__`: a record equals another of its class with equal fields.
+
+    The one constructor binds positional, then keyword arguments to the
+    fields in order; a field left out takes its value from the class's
+    `_defaults`.  A class that checks or derives a field writes its own
+    `__init__` and calls this one."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) == len(names) and not kwargs:
+            for name, value in zip(names, args):
+                setattr(self, name, value)
+            return
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                if name not in self._defaults:
+                    raise TypeError(f"{cls}() missing required argument {name!r}")
+                values[name] = self._defaults[name]
+            setattr(self, name, values[name])
+
+    def _replace(self, **changes):
+        """A new record of this class with `changes` applied, built by the
+        class's constructor, so that its checks run."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -108,9 +142,6 @@ class UniPoly:
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return (UniPoly, (self.coeffs,))
 
     # -- structure ----------------------------------------------------------
 
@@ -456,9 +487,6 @@ class RatFunc:
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        return (RatFunc, (self.num, self.den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -78,10 +78,7 @@ class TwistIdentity(Record):
         k, j = square_class(compose(f, h) / RatFunc(f))
         if k.degree != 1:
             raise ForgeError("twist identity f(h) = k*f*j^2 needs a linear square-class factor k")
-        self.f = f
-        self.h = h
-        self.k = k
-        self.j = j
+        super().__init__(f, h, k, j)
 
 
 def _transported(f: UniPoly, mu: RatFunc, h: RatFunc, what: str) -> TwistIdentity:
@@ -131,11 +128,6 @@ class ConicPoint(Record):
     """Rational point on the curve r^2 = k1(t), s^2 = k2(t)."""
 
     __slots__ = ("t0", "r0", "s0")
-
-    def __init__(self, t0: Fraction, r0: Fraction, s0: Fraction):
-        self.t0 = t0
-        self.r0 = r0
-        self.s0 = s0
 
 
 def conic_point_for(k1: UniPoly, k2: UniPoly, t0: Fraction) -> ConicPoint:
@@ -200,15 +192,6 @@ class TwistFamily(Record):
     """A squarefree g in Q[u], a base curve over Q, and points on the twist by g."""
 
     __slots__ = ("base", "g", "points", "claimed_rank", "provenance")
-
-    def __init__(
-        self, base: CubicCurve, g: UniPoly, points: tuple[CurvePoint, ...], claimed_rank: int, provenance: dict
-    ):
-        self.base = base
-        self.g = g
-        self.points = points
-        self.claimed_rank = claimed_rank
-        self.provenance = provenance
 
     def curve(self) -> TwistedCurve:
         return TwistedCurve(self.base, RatFunc(self.g))

@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -481,14 +480,6 @@ def test_u0_walk_raises_internal_errors(monkeypatch):
         certify_family(build(FamilySpec.make("thm4_5")))
     assert err.value.check_name == "point-count"
     assert "is wrong (internal error)" in str(err.value)
-
-
-def test_certify_error_survives_pickling():
-    err = CertifyError("point-count", "#E(F_11) = 12 is wrong (internal error)")
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is CertifyError and back.check_name == err.check_name and str(back) == str(err)
-    back = pickle.loads(pickle.dumps(CertifyError("g-degree")))
-    assert back.check_name == "g-degree" and str(back) == "certification aborted at check 'g-degree'"
 
 
 def test_each_family_is_checked_once(monkeypatch):

@@ -393,6 +393,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         (["crosscheck", "--id", "thm4_5"], "catalog", {"certify", "densitylab"}),
         (["certify", "--family", path], "certify", {"catalog", "densitylab"}),
         (["specialize", "--family", path, "--u0", "3/2"], "certify", {"catalog", "densitylab"}),
+        (["density", "--family", path, "--grid", "6"], "densitylab", {"catalog", "certify"}),
         (["density", "--family", path, "--grid", "6", "--certify"], "densitylab", {"catalog"}),
     ]
     for argv, runs, absent in commands:

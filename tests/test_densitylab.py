@@ -462,13 +462,13 @@ def test_the_census_reads_its_memoized_rows():
 def _record_specializations(monkeypatch):
     """The u0 the census specializes, appended as it calls specialize."""
     specialized = []
-    specialize = densitylab.specialize
+    specialize = certify.specialize
 
     def recording(fam, u0, d):
         specialized.append(u0)
         return specialize(fam, u0, d)
 
-    monkeypatch.setattr(densitylab, "specialize", recording)
+    monkeypatch.setattr(certify, "specialize", recording)
     return specialized
 
 

@@ -1,7 +1,6 @@
 """Exact arithmetic: polynomials, rational functions, square classes, integers."""
 
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import same_square_class, upoly
 from twistlab import exactmath
+from twistlab.certify import SieveVerdict
+from twistlab.curves import CubicCurve, CurveError
+from twistlab.densitylab import DensityReport
 from twistlab.exactmath import (
     ONE,
     T,
@@ -400,16 +402,6 @@ def test_ratfunc_sqrt():
         ratfunc_sqrt(RatFunc(upoly(0, 1)))
 
 
-def test_polynomials_survive_pickling():
-    p = upoly(Fraction(1, 2), 0, 3)
-    p._cleared()  # the cached integer form is rebuilt, not pickled
-    r = RatFunc(p, upoly(1, 1))
-    for value in (p, r, ZERO):
-        back = pickle.loads(pickle.dumps(value))
-        assert type(back) is type(value) and back == value
-    assert pickle.loads(pickle.dumps(p))._cleared() == p._cleared()
-
-
 def test_rat_string_round_trip():
     for s in ("3/4", "-29274", "0", "22/7"):
         assert rat_to_str(rat_from_str(s)) == s
@@ -425,3 +417,32 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(49, 64)) == Fraction(7, 8)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-4)) is None
+
+
+# -- records -------------------------------------------------------------------
+
+
+def test_records_share_one_constructor():
+    v = SieveVerdict(True, 2, 3, (11, 13), 17)
+    assert v == SieveVerdict(True, 2, ell=3, torsion_prime=17, primes_used=(11, 13))
+    bad_calls = [
+        ((True, 2, 3, (11, 13)), {}, "missing required argument 'torsion_prime'"),
+        ((True, 2, 3, (11, 13), 17), {"p": 5}, "unexpected keyword argument 'p'"),
+        ((True, 2, 3, (11, 13), 17), {"rank": 2}, "multiple values for argument 'rank'"),
+        ((True, 2, 3, (11, 13), 17, None), {}, "takes 5 arguments but 6 were given"),
+    ]
+    for args, kwargs, message in bad_calls:
+        with pytest.raises(TypeError, match=f"^SieveVerdict\\(\\) .*{message}"):
+            SieveVerdict(*args, **kwargs)
+
+    report = DensityReport("f", 4, 1, (1000,), (3,), {})
+    assert (report.certified_counts, report.certifications, report.fit) == (None, None, None)
+    fitted = report._replace(fit=(0.5, 1.0, 0.0))
+    assert type(fitted) is DensityReport and fitted is not report
+    assert fitted.fit == (0.5, 1.0, 0.0) and report.fit is None
+    assert fitted != report and fitted._replace(fit=None) == report
+
+    curve = CubicCurve(upoly(0, -1, 0, 1))
+    with pytest.raises(CurveError, match="singular"):
+        curve._replace(f=upoly(0, 0, 0, 1))
+    assert curve.f == upoly(0, -1, 0, 1)

@@ -36,3 +36,27 @@ def test_src_module_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used)
         assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _only_binds_its_arguments(init: ast.FunctionDef) -> bool:
+    return all(
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(target := stmt.targets[0], ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        and isinstance(stmt.value, ast.Name)
+        and stmt.value.id == target.attr
+        for stmt in init.body
+    )
+
+
+def test_records_use_the_shared_constructor():
+    # Record.__init__ binds the fields; a record class writes its own only to check or derive one
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef) or not any(getattr(b, "id", None) == "Record" for b in cls.bases):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    assert not _only_binds_its_arguments(node), f"{path.name}: {cls.name}.__init__ only binds fields"
