@@ -68,6 +68,8 @@ class FamilySpec(Record):
         for key, value in (params or {}).items():
             if key not in merged:
                 raise ConstraintError(f"family {family_id} takes no parameter {key!r}")
+            if not isinstance(value, (int, Fraction)):
+                raise ConstraintError(f"parameter {key!r} of {family_id} must be an int or Fraction, not {value!r}")
             merged[key] = Fraction(value)
         return FamilySpec(family_id, merged)
 

@@ -174,7 +174,7 @@ class _Reductions(dict):
         super().__init__()
         self.coeffs = (f.coeff(2), f.coeff(1), f.coeff(0))
         disc = discriminant_cubic(f)
-        bad = disc.numerator * disc.denominator * math.prod(c.denominator for c in self.coeffs)
+        bad = disc.numerator * disc.denominator * f.den
         self.primes = [p for p in _SMALL_PRIMES if p > ELLS[-1] and bad % p]
 
     def __missing__(self, p: int):
@@ -369,20 +369,20 @@ class ResidueTable:
         self.reductions = _reductions(fam.base.f)
         k = (fam.g.degree + 1) // 2
         # a form of degree n is its n + 1 coefficients, lowest power of a first
-        self.g_den, g = fam.g._cleared()
-        self.g = g + (0,) * (2 * k - fam.g.degree)
+        self.g_den = fam.g.den
+        self.g = fam.g.ints + (0,) * (2 * k - fam.g.degree)
         self.undecided = self.g_den
         self.coords = []  # (numerator form, denominator form, is a Y)
         for pt in fam.points:
             for rf, shift in ((pt.x, 0), (pt.y, k)):
-                (ln, num), (ld, den) = rf.num._cleared(), rf.den._cleared()
-                self.undecided *= ln * ld
-                s = rf.den.degree - rf.num.degree - shift  # the coordinate is num * b^s / den
-                num_form = tuple(c * ld for c in num) + (0,) * max(s, 0)
-                self.coords.append((num_form, tuple(c * ln for c in den) + (0,) * max(-s, 0), shift > 0))
+                num, den = rf.num, rf.den
+                self.undecided *= num.den * den.den
+                s = den.degree - num.degree - shift  # the coordinate is num * b^s / den
+                num_form = tuple(c * den.den for c in num.ints) + (0,) * max(s, 0)
+                self.coords.append((num_form, tuple(c * num.den for c in den.ints) + (0,) * max(-s, 0), shift > 0))
         # each denominator divides a power of rad, so rad(rho) != 0 mod p clears them all
         dens = math.prod((rf.den for pt in fam.points for rf in (pt.x, pt.y)), start=ONE)
-        self.rad = (dens / dens.gcd(dens.derivative()))._cleared()[1]
+        self.rad = (dens / dens.gcd(dens.derivative())).ints
         self.screens: dict[int, bytearray] = {}
         self.rows: dict = {}  # (p, rho, ell) -> F_ell row
 

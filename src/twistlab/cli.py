@@ -223,7 +223,7 @@ def _certify_args(p):
 
 def _specialize_args(p):
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--u0", required=True, help="rational number, e.g. 3/2")
+    p.add_argument("--u0", required=True, help="rational number, e.g. 3/2; write a negative one as --u0=-1/3")
     _common_args(p)
 
 

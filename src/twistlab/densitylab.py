@@ -44,7 +44,7 @@ def _to_int_poly(p: UniPoly) -> list[int]:
     classes."""
     c, prim = p.content_and_primitive()
     s = squarefree_part_int(c.numerator * c.denominator)
-    return [s * int(v) for v in prim.coeffs]
+    return [s * v for v in prim.ints]
 
 
 class HomogForm(Record):

@@ -1,9 +1,11 @@
 """Exact arithmetic over Q, Q[t], and Q(t).
 
-Every value is immutable and every operation is exact: rationals are
-`fractions.Fraction`, polynomials are dense coefficient tuples (lowest degree
-first), and rational functions are reduced numerator/denominator pairs with a
-monic denominator.  Nothing here ever rounds.
+No operation changes a value, and every operation is exact: rationals are
+`fractions.Fraction`, a polynomial is a dense tuple of integer coefficients
+(lowest degree first) over one positive denominator, in lowest terms, and a
+rational function is a reduced numerator/denominator pair with a monic
+denominator.  Products, quotients and gcds in Q[t] run over Z.  Nothing here
+ever rounds.
 """
 
 from __future__ import annotations
@@ -124,97 +126,102 @@ def eval_form(coeffs, a: int, b: int, degree: int) -> int:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
+    """Dense univariate polynomial over Q: integer coefficients `ints`,
+    lowest degree first, over one positive denominator `den`.
 
-    The zero polynomial has empty coefficients and degree -1.  Trailing zero
-    coefficients are trimmed on construction, so equality is structural.
-    The coefficients cleared to integers are computed on first use and kept.
+    The constructor takes ints and Fractions, divides them by `den`, and
+    brings them to lowest terms: no trailing zero, and no prime divides `den`
+    and every coefficient.  So equality is structural; zero is () over 1.
     """
 
-    __slots__ = ("coeffs", "_int_form")
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [_as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_int_form", None)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("UniPoly is immutable")
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), den: int = 1):
+        ints = list(coeffs)
+        if not all(type(c) is int for c in ints):
+            rats = [_as_rat(c) for c in ints]
+            lcd = lcm(*(q.denominator for q in rats))
+            ints = [q.numerator * (lcd // q.denominator) for q in rats]
+            den *= lcd
+        while ints and not ints[-1]:
+            ints.pop()
+        g = _int_gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        self.ints = tuple(ints)
+        self.den = den
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ExactMathError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.ints[i], self.den) if 0 <= i < len(self.ints) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly([other])
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(("UniPoly", self.coeffs))
+        return hash(("UniPoly", self.ints, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> "UniPoly":
+    def _plus(self, other, sign: int) -> "UniPoly":
+        """self + sign * other, over the least common denominator."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return UniPoly(
-            a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        )
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * den // other.den
+        return UniPoly([x * sa + y * sb for x, y in itertools.zip_longest(self.ints, other.ints, fillvalue=0)], den)
+
+    def __add__(self, other) -> "UniPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other) -> "UniPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return UniPoly(
-            a - b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return UniPoly([-c for c in self.ints], self.den)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
+            return UniPoly([c * other.numerator for c in self.ints], self.den * other.denominator)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ZERO
-        da, a = self._cleared()
-        db, b = other._cleared()
+        a, b = self.ints, other.ints
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        den = da * db
-        return UniPoly(Fraction(c, den) for c in out)
+        return UniPoly(out, self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -239,20 +246,35 @@ class UniPoly:
         return result
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """Quotient and remainder by pseudo-division over Z (Knuth, TAOCP
+        vol. 2, 4.6.1): s*A = Q*B + R for the integer coefficients A of self
+        and B of other, where each step scales by the least s that cancels
+        the top term in Z; dividing by s * self.den gives them over Q."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ExactMathError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d, lc, oc = other.degree, other.leading(), other.coeffs
-        q = [Fraction(0)] * max(0, len(rem) - d)
-        for shift in range(len(rem) - 1 - d, -1, -1):
-            q[shift] = factor = rem[shift + d] / lc
-            if factor:
+        rem, b = list(self.ints), other.ints
+        d, lc = len(b) - 1, b[-1]
+        quot, scale = [], 1
+        while len(rem) > d:
+            top = rem.pop()
+            g = _int_gcd(top, lc)
+            m, f = lc // g, top // g
+            if m < 0:
+                m, f = -m, -f
+            if m != 1:
+                rem = [c * m for c in rem]
+                quot = [c * m for c in quot]
+                scale *= m
+            quot.append(f)
+            if f:
+                shift = len(rem) - d
                 for i in range(d):
-                    rem[shift + i] -= factor * oc[i]
-        return UniPoly(q), UniPoly(rem[:d])
+                    rem[shift + i] -= f * b[i]
+        den = scale * self.den
+        return UniPoly([c * other.den for c in reversed(quot)], den), UniPoly(rem, den)
 
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]
@@ -269,26 +291,25 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ExactMathError("zero polynomial cannot be made monic")
-        lc = self.leading()
-        return self if lc == 1 else UniPoly(c / lc for c in self.coeffs)
+        return self if self.ints[-1] == self.den else UniPoly(self.ints, self.ints[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd (gcd(0, 0) is 0), proved by a prime or found by Euclid.
 
-        Both inputs are cleared to Z[t] and reduced mod a prime p that divides
-        neither leading coefficient, so deg gcd_Q <= deg gcd_p.  Degree 0 mod
-        p proves the gcd is 1.  Otherwise each coefficient of the monic gcd
-        mod p is rebuilt as a fraction, and a candidate that divides both
-        inputs is gcd_Q: it divides gcd_Q, has at least its degree, and both
-        are monic.  When no prime gives a proved candidate, Euclid over Q
-        decides.
+        The integer forms of both inputs are reduced mod a prime p that
+        divides neither leading coefficient, so deg gcd_Q <= deg gcd_p.
+        Degree 0 mod p proves the gcd is 1.  Otherwise each coefficient of
+        the monic gcd mod p is rebuilt as a fraction, and a candidate that
+        divides both inputs is gcd_Q: it divides gcd_Q, has at least its
+        degree, and both are monic.  When no prime gives a proved candidate,
+        Euclid over Q decides.
         """
         if self.is_zero() or other.is_zero():
             rest = other if self.is_zero() else self
             return rest if rest.is_zero() else rest.monic()
         if self.is_constant() or other.is_constant():
             return ONE
-        a, b = self._cleared()[1], other._cleared()[1]
+        a, b = self.ints, other.ints
         for p, bound in _GCD_PRIMES:
             if a[-1] % p == 0 or b[-1] % p == 0:
                 continue
@@ -299,8 +320,7 @@ class UniPoly:
             if None in coeffs:
                 continue
             candidate = UniPoly(coeffs)
-            prim = candidate._cleared()[1]
-            if _divides_z(prim, a) and _divides_z(prim, b):
+            if not (self % candidate or other % candidate):
                 return candidate
         a, b = self, other
         while not b.is_zero():
@@ -308,7 +328,7 @@ class UniPoly:
         return a.monic()
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return UniPoly([i * c for i, c in enumerate(self.ints) if i > 0], self.den)
 
     def __call__(self, x):
         """Evaluate at a rational x exactly, or compose with a RatFunc x."""
@@ -317,24 +337,12 @@ class UniPoly:
         x = _as_rat(x)
         return Fraction(*self._at(x.numerator, x.denominator))
 
-    def _cleared(self) -> tuple[int, tuple[int, ...]]:
-        """(L, (L*c for c in coeffs)) with L the least common denominator,
-        computed once per polynomial."""
-        cleared = self._int_form
-        if cleared is None:
-            den = lcm(*{c.denominator for c in self.coeffs})
-            cleared = den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            object.__setattr__(self, "_int_form", cleared)
-        return cleared
-
     def _at(self, a: int, b: int) -> tuple[int, int]:
         """(N, M) with N/M the value at a/b for b > 0: N is the form of the
-        coefficients cleared to their common denominator L, evaluated at
-        (a, b), and M = L * b^degree."""
-        if not self.coeffs:
+        integer coefficients evaluated at (a, b), and M = den * b^degree."""
+        if not self.ints:
             return 0, 1
-        den, ints = self._cleared()
-        return eval_form(ints, a, b, self.degree), den * b ** self.degree
+        return eval_form(self.ints, a, b, self.degree), self.den * b ** self.degree
 
     def eval_homog(self, p: "UniPoly", q: "UniPoly", n: int) -> "UniPoly":
         """Homogenized evaluation sum_i c_i p^i q^(n-i) for n >= degree."""
@@ -342,37 +350,35 @@ class UniPoly:
             raise ExactMathError("homogenization degree below polynomial degree")
         if self.is_zero():
             return ZERO
-        # Horner in p, carrying the running power of q
-        acc = UniPoly([self.leading()])
+        # Horner in p on the integer coefficients, carrying the running power of q
+        acc = UniPoly([self.ints[-1]])
         q_pow = ONE
-        for c in reversed(self.coeffs[:-1]):
+        for c in reversed(self.ints[:-1]):
             q_pow = q_pow * q
             acc = acc * p + q_pow * c
-        return acc * q ** (n - self.degree)
+        return acc * q ** (n - self.degree) * Fraction(1, self.den)
 
     def content_and_primitive(self) -> tuple[Fraction, "UniPoly"]:
         """Write self = c * prim with prim in Z[t], content 1, positive leading coeff."""
         if self.is_zero():
             return Fraction(0), ZERO
-        den_lcm, ints = self._cleared()
-        g = _int_gcd(*ints)
-        sign = -1 if ints[-1] < 0 else 1
-        prim = UniPoly(v // (sign * g) for v in ints)
-        return Fraction(sign * g, den_lcm), prim
+        g = _int_gcd(*self.ints)
+        if self.ints[-1] < 0:
+            g = -g
+        return Fraction(g, self.den), UniPoly([v // g for v in self.ints])
 
     def is_squarefree(self) -> bool:
         return self.is_constant() or self.gcd(self.derivative()).is_constant()
 
     def is_even(self) -> bool:
         """True when only even-degree coefficients are present."""
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
+        return not any(self.ints[1::2])
 
     def substitute_power(self, m: int) -> "UniPoly":
         """Return p(t^m)."""
-        out = [Fraction(0)] * (m * self.degree + 1) if not self.is_zero() else []
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return UniPoly(out)
+        out = [0] * (m * self.degree + 1)
+        out[::m] = self.ints
+        return UniPoly(out, self.den)
 
     # -- display -------------------------------------------------------------
 
@@ -443,23 +449,6 @@ def _rational_lift(r: int, p: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _divides_z(g: list[int], a: list[int]) -> bool:
-    """True when g divides a in Z[t], by long division that stops at the
-    first leading coefficient g's does not divide.  For a primitive g this is
-    division in Q[t] too (Gauss's lemma)."""
-    rem = list(a)
-    dg = len(g) - 1
-    lc = g[-1]
-    for shift in range(len(rem) - 1 - dg, -1, -1):
-        q, r = divmod(rem[shift + dg], lc)
-        if r:
-            return False
-        if q:
-            for i in range(dg):
-                rem[shift + i] -= q * g[i]
-    return not any(rem[:dg])
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -478,15 +467,10 @@ class RatFunc:
         g = num.gcd(den)
         if not g.is_constant():
             num, den = num / g, den / g
-        lc = den.leading()
-        if lc != 1:
-            num = num * (Fraction(1) / lc)
-            den = den * (Fraction(1) / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
+        if den.ints[-1] != den.den:  # not monic
+            num, den = num * (1 / den.leading()), den.monic()
+        self.num = num
+        self.den = den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -544,7 +528,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     # -- evaluation / substitution -------------------------------------------
 

@@ -328,6 +328,15 @@ def test_constraint_gates():
         FamilySpec.make("thm4_5", {"zz": 1})
 
 
+def test_params_must_be_exact_rationals():
+    # a float would silently become its binary expansion, 0.1 the fraction
+    # 3602879701896397/36028797018963968, and a string would be parsed
+    for value in (0.1, " 3/4 ", "2", None):
+        with pytest.raises(ConstraintError, match="parameter 'a' of thm4_2a must be an int or Fraction"):
+            FamilySpec.make("thm4_2a", {"a": value})
+    assert FamilySpec.make("thm4_2a", {"a": 3}).params["a"] == FamilySpec.make("thm4_2a", {"a": F(3)}).params["a"] == 3
+
+
 def test_twist_identities_per_family():
     for fid in FAMILY_IDS:
         tids = twist_identities(FamilySpec.make(fid))

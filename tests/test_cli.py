@@ -4,12 +4,13 @@ import ast
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from twistlab.catalog import FAMILY_IDS, ConstraintError, FamilySpec, build
-from twistlab.certify import BadPrimeError, CertifyError, certify_family
+from twistlab.certify import BadPrimeError, CertifyError, certify_family, specialize
 from twistlab.cli import run
 from twistlab.curves import INFINITY, CurveError, CurvePoint
 from twistlab.densitylab import DensityError
@@ -172,6 +173,23 @@ def test_specialize_cli(capsys, tmp_path):
     data = json.loads(out)
     assert data["d"] == -29274
     assert run(["specialize", "--family", str(path), "--u0", "0"]) == 1
+
+
+def test_specialize_takes_a_negative_u0_after_an_equals_sign(capsys, tmp_path):
+    # argparse reads "--u0 -1/3" as an option; "--u0=-1/3" is one argument.
+    # thm4_3's g is not even, so u0 = -1/3 and 1/3 give different D
+    path = tmp_path / "fam.json"
+    run(["catalog-build", "--id", "thm4_3", "--out", str(path)])
+    _capture(capsys)
+    assert run(["specialize", "--family", str(path), "--u0=-1/3"]) == 0
+    out, _ = _capture(capsys)
+    fam = build(FamilySpec.make("thm4_3"))
+    d = specialize(fam, Fraction(-1, 3)).d
+    assert d != specialize(fam, Fraction(1, 3)).d
+    assert out.startswith(f"u0 = -1/3: D = {d}\n")
+    with pytest.raises(SystemExit):
+        run(["specialize", "--help"])
+    assert "--u0=-1/3" in " ".join(_capture(capsys)[0].split())
 
 
 def test_density_cli_end_to_end(capsys, tmp_path):

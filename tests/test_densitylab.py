@@ -317,24 +317,22 @@ def test_certified_density_subset_and_witnesses():
     assert out.witnesses[certified[0]][1] >= 1
 
 
-def test_each_polynomial_is_cleared_once(monkeypatch):
-    # the census evaluates g and the point coordinates at every D; each
-    # polynomial clears its coefficients to integers once, not once per D
-    cleared = []
-    clear = UniPoly._cleared
-
-    def counting(self):
-        if self._int_form is None:
-            cleared.append(self)
-        return clear(self)
-
-    fam, form = _form("thm4_5")
-    rep = enumerate_S(form, grid=50, x_max=None)
-    monkeypatch.setattr(UniPoly, "_cleared", counting)
-    certified_density(fam, rep)
-    assert len(rep.witnesses) > 700 and cleared
-    assert max(Counter(map(id, cleared)).values()) == 1
-    assert len(cleared) < 100
+def test_the_census_builds_no_polynomial_per_d(monkeypatch):
+    # the census evaluates g and the point coordinates at every D from their
+    # integer coefficients, so it builds as many polynomials at grid 50 as at
+    # grid 20
+    built = []
+    init = UniPoly.__init__
+    monkeypatch.setattr(UniPoly, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    for fid in ("thm4_5", "cor3_2"):
+        fam, form = _form(fid)
+        counts = []
+        for grid in (20, 50):
+            rep = enumerate_S(form, grid=grid, x_max=None)
+            built.clear()
+            certified_density(fam, rep)
+            counts.append(len(built))
+        assert len(rep.witnesses) > 700 and 0 < counts[0] == counts[1] < 100, (fid, counts)
 
 
 def test_certified_d_needs_the_claimed_rank():
@@ -428,7 +426,7 @@ def test_residue_forms_are_the_coordinates_mod_p():
             for a, b in ((1, p), (3, 2 * p), (2, 5), (7, 3)):
                 rho, lam = _rho(a, b, p), (b if b % p else a)
                 # G(a, b) = b^(2k) g(a/b), so p | G at infinity when deg g is odd
-                g_at = eval_form(fam.g._cleared()[1], a, b, 2 * k)
+                g_at = eval_form(fam.g.ints, a, b, 2 * k)
                 assert table._at(table.g, rho, p) * pow(lam, 2 * k, p) % p == g_at % p, (fid, p, a, b)
                 for rf, (num, den, is_y) in zip(coords, table.coords):
                     den_at = table._at(den, rho, p)

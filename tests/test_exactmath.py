@@ -83,6 +83,69 @@ def test_gcd_is_monic():
     assert p.gcd(q) == upoly(-1, 1)
 
 
+# -- representation: integer coefficients over one denominator ---------------
+
+
+def _is_canonical(p):
+    return p.den > 0 and math.gcd(p.den, *p.ints) == 1 and p.ints[-1:] != (0,) and all(type(c) is int for c in p.ints)
+
+
+def test_one_polynomial_has_one_form_whatever_builds_it():
+    # t^2/2 - 2/9 = (t/2 + 1/3)(t - 2/3) = (-4 + 9 t^2) / 18
+    F = Fraction
+    target = UniPoly([F(-2, 9), 0, F(1, 2)])
+    c, prim = (target * -36).content_and_primitive()
+    assert (c, prim) == (-2, UniPoly([-4, 0, 9]))
+    routes = [
+        UniPoly([-4, 0, 9], 18),
+        UniPoly([8, 0, -18], -36),
+        UniPoly([F(1, 3), F(1, 2)]) * UniPoly([F(-2, 3), 1]),
+        UniPoly([F(-2, 9), F(1, 4)]) + UniPoly([0, F(-1, 4), F(1, 2), F(1, 3)]) - UniPoly([0, 0, 0, F(1, 3)]),
+        UniPoly([4, 0, -9]).monic() * F(1, 2),
+        prim * F(1, 18),
+    ]
+    assert target.ints == (-4, 0, 9) and target.den == 18
+    for p in routes:
+        assert p == target and hash(p) == hash(target), p
+    assert target.coeffs == (F(-2, 9), F(0), F(1, 2))
+    with pytest.raises(TypeError):
+        UniPoly([1, 0.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_rats, max_size=8), nonzero_polys)
+def test_every_operation_returns_the_canonical_form(cs, q):
+    p = UniPoly(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    assert p.coeffs == tuple(cs) and all(type(c) is Fraction for c in p.coeffs)
+    results = [p, -p, p + q, p - q, p * q, p * Fraction(-3, 4), *divmod(p, q), q.monic(), q.derivative()]
+    results += [p.substitute_power(3), q.content_and_primitive()[1], p.gcd(q)]
+    assert all(_is_canonical(r) for r in results)
+
+
+def _fraction_long_division(a, b):
+    """Quotient and remainder of coefficient lists (lowest degree first) by
+    schoolbook long division over Q."""
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        quot[shift] = f = rem[shift + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+    return quot, rem[: len(b) - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_rats, max_size=9), st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(-9, -2))
+def test_pseudo_division_matches_fraction_long_division(a, low, lc):
+    # integer divisors, neither monic nor with a positive leading coefficient
+    divisor = [*low, lc]
+    want_q, want_r = _fraction_long_division(a, [Fraction(c) for c in divisor])
+    q, r = divmod(UniPoly(a), UniPoly(divisor))
+    assert (q, r) == (UniPoly(want_q), UniPoly(want_r))
+    assert _is_canonical(q) and _is_canonical(r)
+
+
 # -- composition --------------------------------------------------------------
 
 

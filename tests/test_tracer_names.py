@@ -35,17 +35,20 @@ def test_traced_names_resolve():
 
 
 # the census reads its verdicts from certify.ResidueTable, which the tracer
-# does not name; only the certificate runs good_primes and the sieve
+# does not name; only the certificate runs good_primes and the sieve.  The
+# certificate's gcds feed the Q(t)-core gauges, which read the polynomials'
+# coefficients
 @pytest.mark.parametrize(
-    "argv, span, counters",
+    "argv, spans, counters, maxima",
     [
-        (["density", "--grid", "8", "--certify", "--threads", "1"], "densitylab.certified_density",
-         ("enumerate_S.distinct",)),
-        (["certify"], "certify.sieve", ("sieve.primes", "good_primes.primes")),
+        (["density", "--grid", "8", "--certify", "--threads", "1"], ("densitylab.certified_density",),
+         ("enumerate_S.distinct",), ()),
+        (["certify"], ("certify.sieve", "exactmath.UniPoly.gcd"), ("sieve.primes", "good_primes.primes"),
+         ("gcd.max_coeff_bits",)),
     ],
     ids=["density", "certify"],
 )
-def test_traced_command_counts_its_work(tmp_path, argv, span, counters):
+def test_traced_command_counts_its_work(tmp_path, argv, spans, counters, maxima):
     family = tmp_path / "thm4_5.json"
     dump_json(family_to_json(build(FamilySpec.make("thm4_5"))), path=family)
     trace = tmp_path / "trace"
@@ -57,6 +60,9 @@ def test_traced_command_counts_its_work(tmp_path, argv, span, counters):
     assert done.returncode == 0, done.stderr
     (summary_path,) = trace.glob("0-*.json")
     summary = json.loads(summary_path.read_text())
-    assert summary["spans"][span]["calls"] > 0
+    for span in spans:
+        assert summary["spans"][span]["calls"] > 0, span
     for name in counters:
         assert summary["counters"].get(name, 0) > 0, name
+    for name in maxima:
+        assert summary["maxima"].get(name, 0) > 0, name
