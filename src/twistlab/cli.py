@@ -45,13 +45,15 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text_lines: list[str]):
     """Write --out first, so that a failed write prints nothing, then print
-    the payload as JSON under --json and as text lines otherwise."""
+    the payload as JSON under --json and as text lines otherwise.  The JSON
+    is streamed to each destination, never built as one text."""
     as_json = getattr(args, "json", False)
     out_path = getattr(args, "out", None)
-    if as_json or out_path:
-        text = jsonio.dump_json(payload, path=out_path or None)
+    if out_path:
+        with open(out_path, "w") as fh:
+            jsonio.write_json(payload, fh)
     if as_json:
-        print(text)
+        jsonio.write_json(payload, sys.stdout)
     else:
         for line in text_lines:
             print(line)
@@ -235,7 +237,7 @@ def _density_args(p):
     p.add_argument("--certify", action="store_true")
     p.add_argument("--primes", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1, help="no effect: certification runs in one process")
-    p.add_argument("--no-witnesses", action="store_true", help="omit per-D witnesses from JSON output")
+    p.add_argument("--no-witnesses", action="store_true", help="omit the per-D witnesses and certifications from JSON output")
     _common_args(p)
 
 

@@ -135,9 +135,9 @@ class DensityReport(Record):
         if self.fit is not None:
             out["fit"] = {"slope": self.fit[0], "intercept": self.fit[1], "residual": self.fit[2]}
         if include_witnesses:
-            out["witnesses"] = {str(d): list(ab) for d, ab in sorted(self.witnesses.items())}
+            out["witnesses"] = {str(d): ab for d, ab in self.witnesses.items()}
             if self.certifications is not None:
-                out["certifications"] = {str(d): rec for d, rec in sorted(self.certifications.items())}
+                out["certifications"] = {str(d): rec for d, rec in self.certifications.items()}
         return out
 
 

@@ -7,6 +7,7 @@ arrays, lowest degree first.
 
 from __future__ import annotations
 
+import io
 import json
 
 from .curves import CubicCurve, CurvePoint
@@ -100,12 +101,19 @@ def family_from_json(d) -> TwistFamily:
     )
 
 
-def dump_json(obj: dict, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def write_json(obj: dict, fh) -> None:
+    """Write obj to the text file fh as JSON with indent 2, sorted keys and
+    a trailing newline.  The encoder hands fh one chunk at a time, so the
+    whole text is never held in memory."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def dump_json(obj: dict) -> str:
+    """The text `write_json` writes, without its trailing newline."""
+    buf = io.StringIO()
+    write_json(obj, buf)
+    return buf.getvalue()[:-1]
 
 
 def load_json(path) -> dict:

@@ -1,9 +1,12 @@
 """CLI behavior: exit codes, JSON round-trips, determinism, tamper detection."""
 
+import argparse
 import ast
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,17 +14,22 @@ import pytest
 
 from twistlab.catalog import FAMILY_IDS, ConstraintError, FamilySpec, build
 from twistlab.certify import BadPrimeError, CertifyError, certify_family, specialize
-from twistlab.cli import run
+from twistlab.cli import _emit, run
 from twistlab.curves import INFINITY, CurveError, CurvePoint
-from twistlab.densitylab import DensityError
+from twistlab.densitylab import DensityError, certified_density, enumerate_S, homog_form
 from twistlab.exactmath import CheckError, ExactMathError, RatFunc, UniPoly
-from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json
+from twistlab.jsonio import dump_json, family_from_json, family_to_json, load_json, write_json
 from twistlab.twistforge import ForgeError, TwistFamily
 
 
 def _capture(capsys):
     out = capsys.readouterr()
     return out.out, out.err
+
+
+def _write(payload, path):
+    with open(path, "w") as fh:
+        write_json(payload, fh)
 
 
 def test_catalog_list(capsys):
@@ -41,13 +49,65 @@ def test_catalog_build_json(capsys, tmp_path):
     assert json.loads(path.read_text()) == payload
 
 
+def test_out_streams_the_payload(capsys, tmp_path):
+    # --out writes the bytes of json.dumps plus a newline, and streams them:
+    # building and writing the grid-60 census payload peaks below twice the
+    # bytes written (about 8x when the whole text was built first).  The
+    # family and certificate payloads, about 1.2 KB each, sit below the
+    # encoder's fixed working set of about 20 KB, so only their bytes are
+    # checked
+    fam = build(FamilySpec.make("cor3_2"))
+    form = homog_form(fam.g, fam.provenance.get("factor_polys"))
+    report = certified_density(fam, enumerate_S(form, grid=60, family="cor3_2"))
+    cert = certify_family(fam)
+    path = tmp_path / "out.json"
+    args = argparse.Namespace(json=False, out=str(path))
+    for make_payload, bounded in ((report.to_json, True), (lambda: family_to_json(fam), False), (lambda: cert, False)):
+        tracemalloc.start()
+        try:
+            payload = make_payload()
+            _emit(args, payload, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = path.read_bytes()
+        assert written == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert not bounded or peak < 2 * len(written), (peak, len(written))
+    assert capsys.readouterr().out == ""
+
+
+def test_json_and_out_print_the_file(capsys, tmp_path):
+    # under --json --out, stdout carries the bytes of the file, and --json
+    # alone prints the same bytes, also when --out is not a regular file;
+    # a failed --out prints nothing
+    fam_path = tmp_path / "fam.json"
+    _write(family_to_json(build(FamilySpec.make("thm4_5"))), fam_path)
+    out_path = tmp_path / "out.json"
+    for argv in (
+        ["density", "--family", str(fam_path), "--grid", "8", "--certify", "--json"],
+        ["certify", "--family", str(fam_path), "--json"],
+    ):
+        assert run(argv + ["--out", str(out_path)]) == 0
+        out, err = _capture(capsys)
+        assert out.encode() == out_path.read_bytes()
+        assert err == f"wrote {out_path}\n"
+        assert run(argv) == 0
+        assert _capture(capsys)[0] == out
+        assert run(argv + ["--out", os.devnull]) == 0
+        assert _capture(capsys)[0] == out
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        out, err = _capture(capsys)
+        assert out == "" and err.startswith("error:")
+
+
 def test_family_json_round_trip(tmp_path):
     fam = build(FamilySpec.make("thm4_1"))
     payload = family_to_json(fam)
-    text = dump_json(payload, path=tmp_path / "f.json")
-    reloaded = family_from_json(load_json(tmp_path / "f.json"))
+    path = tmp_path / "f.json"
+    _write(payload, path)
+    reloaded = family_from_json(load_json(path))
     assert reloaded == fam
-    assert dump_json(family_to_json(reloaded)) == text
+    assert dump_json(family_to_json(reloaded)) + "\n" == path.read_text()
 
 
 def test_certify_ok_and_deterministic(capsys, tmp_path):
@@ -66,7 +126,7 @@ def test_certify_ok_and_deterministic(capsys, tmp_path):
 def test_certify_json_is_certify_family(capsys, tmp_path):
     path = tmp_path / "fam.json"
     fam = build(FamilySpec.make("thm4_5"))
-    dump_json(family_to_json(fam), path=path)
+    _write(family_to_json(fam), path)
     assert run(["certify", "--family", str(path), "--json"]) == 0
     out, _ = _capture(capsys)
     assert json.loads(out) == certify_family(fam)
@@ -77,7 +137,7 @@ def test_certify_short_of_claimed_rank_exits_1(capsys, tmp_path):
     payload = family_to_json(build(FamilySpec.make("thm4_5")))
     del payload["points"][2]
     path = tmp_path / "two.json"
-    dump_json(payload, path=path)
+    _write(payload, path)
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, err = _capture(capsys)
     assert json.loads(out)["certified_lower"] == 2
@@ -95,7 +155,7 @@ def test_certify_corrupted_point_exits_1(capsys, tmp_path):
     payload = family_to_json(fam)
     payload["points"][0]["x"]["num"][0] = "5"  # tamper
     path = tmp_path / "bad.json"
-    dump_json(payload, path=path)
+    _write(payload, path)
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, err = _capture(capsys)
     assert "on-curve[1]" in out + err
@@ -106,7 +166,7 @@ def test_certify_point_at_infinity_exits_1(capsys, tmp_path):
     payload = family_to_json(build(FamilySpec.make("thm4_5")))
     payload["points"][1] = {"infinity": True}
     path = tmp_path / "inf.json"
-    dump_json(payload, path=path)
+    _write(payload, path)
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, _ = _capture(capsys)
     assert json.loads(out)["failed_check"] == "nonconstant-x[2]"
@@ -131,7 +191,7 @@ def test_family_checks_run_before_specializing(capsys, tmp_path, command):
     # specialize and density --certify fail on a bad point as certify does
     path = tmp_path / "bad.json"
     for payload, check in _tampered_thm4_5():
-        dump_json(payload, path=path)
+        _write(payload, path)
         assert run(["certify", "--family", str(path), "--json"]) == 1
         assert json.loads(_capture(capsys)[0])["failed_check"] == check
         assert run([command[0], "--family", str(path), *command[1:]]) == 1
@@ -144,7 +204,7 @@ def test_certify_rejects_wrong_provenance_degree(capsys, tmp_path):
     for degree in (-3, "12", True):
         payload["provenance"]["degree"] = degree
         path = tmp_path / "bad.json"
-        dump_json(payload, path=path)
+        _write(payload, path)
         assert run(["certify", "--family", str(path), "--json"]) == 1, degree
         out, _ = _capture(capsys)
         assert json.loads(out)["failed_check"] == "g-degree", degree
@@ -157,7 +217,7 @@ def test_certify_rejects_a_g_with_a_square_factor(capsys, tmp_path):
     pts = tuple(CurvePoint(p.x, p.y / s) for p in fam.points)
     path = tmp_path / "square.json"
     squared = TwistFamily(fam.base, fam.g * s.num ** 2, pts, fam.claimed_rank, fam.provenance)
-    dump_json(family_to_json(squared), path=path)
+    _write(family_to_json(squared), path)
     assert run(["certify", "--family", str(path), "--json"]) == 1
     out, err = _capture(capsys)
     assert json.loads(out)["failed_check"] == "g-squarefree"
@@ -320,12 +380,12 @@ def test_usage_errors(capsys, tmp_path):
         ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": []}}]}, "'points'"),
         ({**good, "points": [{**good["points"][0], "x": {"num": ["1"], "den": ["0"]}}]}, "'points'"),
     ):
-        dump_json(bad, path=tmp_path / "bad.json")
+        _write(bad, tmp_path / "bad.json")
         assert run(["certify", "--family", str(tmp_path / "bad.json")]) == 2, bad
         _, err = _capture(capsys)
         assert field in err
     for factor_polys in (5, [["1/0"]], [[0.1, 1]], [["1"], []]):
-        dump_json({**good, "provenance": {**good["provenance"], "factor_polys": factor_polys}}, path=tmp_path / "bad.json")
+        _write({**good, "provenance": {**good["provenance"], "factor_polys": factor_polys}}, tmp_path / "bad.json")
         assert run(["density", "--family", str(tmp_path / "bad.json"), "--grid", "5"]) == 2, factor_polys
         _, err = _capture(capsys)
         assert "'factor_polys'" in err

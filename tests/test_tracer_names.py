@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from twistlab.catalog import FamilySpec, build
-from twistlab.jsonio import dump_json, family_to_json
+from twistlab.jsonio import family_to_json, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,7 +50,8 @@ def test_traced_names_resolve():
 )
 def test_traced_command_counts_its_work(tmp_path, argv, spans, counters, maxima):
     family = tmp_path / "thm4_5.json"
-    dump_json(family_to_json(build(FamilySpec.make("thm4_5"))), path=family)
+    with open(family, "w") as fh:
+        write_json(family_to_json(build(FamilySpec.make("thm4_5"))), fh)
     trace = tmp_path / "trace"
     trace.mkdir()
     child = [sys.executable, str(ROOT / "bench" / "child.py"), "cmd", "--trace-dir", str(trace), "--run-id", "0"]
